@@ -38,20 +38,23 @@ _STREAMS = {"ground_truth": 0, "train_x": 1, "test_x": 2, "proposal": 3, "gumbel
 _METHOD_IDS = {m: i for i, m in enumerate(Method)}
 
 
+def _seed_sequence(master_seed: int, repetition: int, name: str,
+                   method: Method | None) -> np.random.SeedSequence:
+    entropy = [master_seed, repetition, _STREAMS[name]]
+    if method is not None:
+        entropy.append(_METHOD_IDS[method])
+    return np.random.SeedSequence(entropy)
+
+
 def stream(master_seed: int, repetition: int, name: str,
            method: Method | None = None) -> np.random.Generator:
     """Named, independent generator derived from the master seed."""
-    entropy = [master_seed, repetition, _STREAMS[name]]
-    if method is not None:
-        entropy.append(_METHOD_IDS[method])
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(_seed_sequence(master_seed, repetition, name, method))
 
 
 def stream_seed(master_seed: int, repetition: int, name: str, method: Method | None = None) -> int:
-    entropy = [master_seed, repetition, _STREAMS[name]]
-    if method is not None:
-        entropy.append(_METHOD_IDS[method])
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    """Integer seed of the same named stream, for APIs that take a seed."""
+    return int(_seed_sequence(master_seed, repetition, name, method).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +201,9 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord
                 train_loss = exact_crf_loss(w_hat, S_train, beta).value
                 train_loss_exact = train_loss
             elif method is Method.CRF_RAND:
+                # imported here, not at module level: perfbench/measure.py times
+                # this loss by rebinding randcrf.losses.randomized_loss, which a
+                # name bound at import time would bypass
                 from .losses import randomized_loss
                 train_loss = randomized_loss(w_hat, S_train, trace.final_candidate_sets, beta).value
                 train_loss_exact = exact_crf_loss(w_hat, S_train, beta).value
@@ -360,15 +366,41 @@ def save_dataset(path: str, S: Dataset) -> None:
 
 
 def load_dataset(path: str, family: StructureFamily) -> Dataset:
+    """Read the JSON-lines format of ``save_dataset``.  Every line must hold
+    ``x``, a string of ``feature_dim`` 0/1 bits, and ``y``, a list of
+    component indices forming a valid structure of ``family``; a ValueError
+    names the first line that does not."""
     X, outputs = [], []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            X.append([int(ch) for ch in obj["x"]])
-            outputs.append(StructuredOutput(family, tuple(obj["y"])))
+            try:
+                bits, y = _parse_sample(line, family)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            X.append(bits)
+            outputs.append(y)
+    if not outputs:
+        raise ValueError(f"{path}: no samples")
     return Dataset(family, np.array(X, dtype=np.uint8), tuple(outputs))
+
+
+def _parse_sample(line: str, family: StructureFamily) -> tuple[list[int], StructuredOutput]:
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object with keys 'x' and 'y'")
+    x, y = obj.get("x"), obj.get("y")
+    d = family.feature_dim
+    if not isinstance(x, str) or len(x) != d:
+        raise ValueError(f"'x' must be a string of {d} bits")
+    if not set(x) <= {"0", "1"}:
+        raise ValueError("'x' holds characters other than 0 and 1")
+    if not isinstance(y, list) or not all(type(c) is int for c in y):
+        raise ValueError("'y' must be a list of integer component indices")
+    if not family.is_valid(tuple(y)):
+        raise ValueError(f"'y' {y} is not a valid structure of {family_label(family)}")
+    return [int(ch) for ch in x], StructuredOutput(family, tuple(y))
 
 
 def save_weights(path: str, w) -> None:

@@ -25,6 +25,16 @@ import numpy as np
 ENUMERATION_BUDGET = 250_000
 _DAG_SCAN_LIMIT = 4_000_000
 
+#: Mask pairs per block of the all-pairs neighbor scan.  Besides bounding
+#: memory, the size matters to training: freeing a block this large (about
+#: 15 MB of XORed masks for the benchmark families) raises glibc's dynamic
+#: mmap and trim thresholds above the trainers' ~1 MB m x r temporaries, which
+#: then reuse heap memory.  With 128-row blocks the thresholds stayed low and
+#: those temporaries page-faulted on every iteration: 14-27k minor faults per
+#: training, and on a 2-core x86 VM set:4,15 crf_all went 52 -> 94 ms and
+#: dag:5,1 crf_rand 27 -> 89 ms.
+_NEIGHBOR_BLOCK_PAIRS = 4_000_000
+
 #: Feature vectors are plain float arrays of length ``family.feature_dim``.
 #: By construction every nonzero entry equals 1.
 FeatureVector = np.ndarray
@@ -107,10 +117,14 @@ class SubsetFamily:
         )
 
     def incidence_row(self, components: tuple[int, ...]) -> FeatureVector:
-        row = np.zeros(self.feature_dim)
-        for a, b in itertools.combinations(components, 2):
-            row[unordered_pair_index(a, b, self.universe)] = 1.0
-        return row
+        return _incidence_row(self, components)
+
+    def _feature_cells(self, rows: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # every output holds exactly k sorted elements; each pair of them fires
+        a, b = np.triu_indices(self.k, 1)
+        chosen = comps.reshape(-1, self.k)
+        return (rows.reshape(-1, self.k)[:, a].ravel(),
+                _unordered_pair_columns(chosen[:, a].ravel(), chosen[:, b].ravel(), self.universe))
 
     def _iter_components(self) -> Iterator[tuple[int, ...]]:
         return itertools.combinations(range(self.universe), self.k)
@@ -182,11 +196,13 @@ class SpanningTreeFamily:
         return len(seen) == v
 
     def incidence_row(self, components: tuple[int, ...]) -> FeatureVector:
-        row = np.zeros(self.feature_dim)
-        for c in components:
-            p, q = self.edge_of(c)
-            row[unordered_pair_index(p, q, self.num_nodes)] = 1.0
-        return row
+        return _incidence_row(self, components)
+
+    def _feature_cells(self, rows: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # each edge fires its unordered node pair
+        parent, child = _edge_nodes(comps, self.num_nodes)
+        return rows, _unordered_pair_columns(np.minimum(parent, child), np.maximum(parent, child),
+                                             self.num_nodes)
 
     def _iter_components(self) -> Iterator[tuple[int, ...]]:
         v = self.num_nodes
@@ -265,9 +281,11 @@ class DagFamily:
         return drained == v
 
     def incidence_row(self, components: tuple[int, ...]) -> FeatureVector:
-        row = np.zeros(self.feature_dim)
-        row[list(components)] = 1.0
-        return row
+        return _incidence_row(self, components)
+
+    def _feature_cells(self, rows: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the feature grid is the component grid
+        return rows, comps
 
     def _iter_components(self) -> Iterator[tuple[int, ...]]:
         v, p = self.num_nodes, self.max_parents
@@ -292,12 +310,41 @@ class DagFamily:
         for _ in range(max(1, math.ceil(math.log2(v)))):
             reach = reach | (np.matmul(reach, reach) > 0)
         acyclic = ~reach[:, np.arange(v), np.arange(v)].any(axis=1)
-        for a in adj[acyclic]:
-            ps_, cs_ = np.nonzero(a)
-            yield tuple(sorted(ordered_pair_index(int(i), int(j), v) for i, j in zip(ps_, cs_)))
+        # row-major (parent, child) order is ascending component order
+        dag, parent, child = np.nonzero(adj[acyclic])
+        comps = (parent * (v - 1) + child - (child > parent)).tolist()
+        ends = np.cumsum(np.bincount(dag, minlength=int(acyclic.sum()))).tolist()
+        for lo, hi in zip([0] + ends, ends):
+            yield tuple(comps[lo:hi])
 
 
 StructureFamily = Union[SubsetFamily, SpanningTreeFamily, DagFamily]
+
+# Each family maps flat (output row, component) arrays to the (output row,
+# feature column) cells its outputs fire through ``_feature_cells``; one
+# output's incidence row and the whole space's incidence matrix both come
+# from that map.
+
+
+def _unordered_pair_columns(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """``unordered_pair_index`` over arrays with i < j elementwise."""
+    return i * n - i * (i + 1) // 2 + (j - i - 1)
+
+
+def _edge_nodes(comps: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, child) node arrays of ordered-pair component indices."""
+    parent, rem = np.divmod(comps, v - 1)
+    return parent, rem + (rem >= parent)
+
+
+def _incidence_row(family: StructureFamily, components: tuple[int, ...]) -> FeatureVector:
+    # the maps assume valid structures (a subset's map pairs elements k at a time)
+    if not family.is_valid(tuple(components)):
+        raise ValueError(f"{tuple(components)} is not a valid structure of {family}")
+    comps = np.asarray(components, dtype=np.int64)
+    row = np.zeros(family.feature_dim)
+    row[family._feature_cells(np.zeros_like(comps), comps)[1]] = 1.0
+    return row
 
 
 def _strictly_sorted(components: Sequence[int]) -> bool:
@@ -409,12 +456,16 @@ class EnumeratedSpace:
         self.index_of = {y.components: i for i, y in enumerate(self.outputs)}
         if len(self.index_of) != self.size:
             raise ValueError("duplicate structures in enumeration")
-        self.incidence = np.vstack([family.incidence_row(y.components) for y in self.outputs])
-        words = (family.component_count + 63) // 64
-        self.masks = np.zeros((self.size, words), dtype=np.uint64)
-        for i, y in enumerate(self.outputs):
-            for c in y.components:
-                self.masks[i, c >> 6] |= np.uint64(1 << (c & 63))
+        lengths = np.fromiter((len(y.components) for y in self.outputs), dtype=np.int64,
+                              count=self.size)
+        comps = np.fromiter(itertools.chain.from_iterable(y.components for y in self.outputs),
+                            dtype=np.int64, count=int(lengths.sum()))
+        rows = np.repeat(np.arange(self.size), lengths)
+        self.masks = np.zeros((self.size, (family.component_count + 63) // 64), dtype=np.uint64)
+        np.bitwise_or.at(self.masks, (rows, comps >> 6),
+                         np.left_shift(np.uint64(1), (comps & 63).astype(np.uint64)))
+        self.incidence = np.zeros((self.size, family.feature_dim))
+        self.incidence[family._feature_cells(rows, comps)] = 1.0
         self._neighbors: dict[tuple[int, int], np.ndarray] = {}
         self._neighbor_csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._feature_indices: np.ndarray | None = None
@@ -426,31 +477,46 @@ class EnumeratedSpace:
         sentinel ``feature_dim`` (pointing at a zero column).  Row-major, so
         gathering one slot for many outputs reads a contiguous row."""
         if self._feature_indices is None:
-            d = self.family.feature_dim
-            nz = [np.nonzero(row)[0] for row in self.incidence]
-            width = max((len(a) for a in nz), default=0) or 1
-            out = np.full((width, self.size), d, dtype=np.int64)
-            for i, a in enumerate(nz):
-                out[:len(a), i] = a
+            rows, cols = np.nonzero(self.incidence)
+            counts = np.bincount(rows, minlength=self.size)
+            # slot of each entry within its output: entries come row by row
+            slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            out = np.full((max(int(counts.max(initial=0)), 1), self.size), self.family.feature_dim,
+                          dtype=np.int64)
+            out[slot, rows] = cols
             self._feature_indices = out
         return self._feature_indices
 
     def neighbor_csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR (indptr, data) of the distance-<=k neighbor lists of every output,
-        each list ascending (canonical order)."""
+        each list ascending (canonical order).
+
+        Scans all pairs of outputs in blocks of rows: per block, the XOR of
+        the packed masks is popcounted into small unsigned distances, one
+        compare of ``distance - 1`` (which wraps to the type's maximum for
+        the output itself) against k keeps the neighbors, and one flat
+        ``nonzero`` lists them.  Generating each ball by toggling
+        components and looking the results up in the sorted masks was
+        measured slower at the benchmark's sizes (dag:5,1: 64 ms against
+        21 ms on a 2-core x86 VM)."""
         cached = self._neighbor_csr.get(k)
         if cached is None:
+            r, words = self.masks.shape
+            dist_type = np.uint8 if words == 1 else np.uint16
+            limit = min(max(k, 0), int(np.iinfo(dist_type).max))
+            counts = np.empty(r, dtype=np.int64)
             pieces = []
-            counts = np.empty(self.size, dtype=np.int64)
-            chunk = max(1, 4_000_000 // max(1, self.size))
-            for lo in range(0, self.size, chunk):
-                hi = min(self.size, lo + chunk)
-                dist = np.bitwise_count(
-                    self.masks[lo:hi, None, :] ^ self.masks[None, :, :]).sum(axis=2)
-                hit = (dist > 0) & (dist <= k)
-                counts[lo:hi] = hit.sum(axis=1)
-                pieces.append(np.nonzero(hit)[1].astype(np.int64))
-            indptr = np.zeros(self.size + 1, dtype=np.int64)
+            chunk = max(1, _NEIGHBOR_BLOCK_PAIRS // max(1, r))
+            for lo in range(0, r, chunk):
+                hi = min(r, lo + chunk)
+                dist = np.bitwise_count(self.masks[lo:hi, None, :] ^ self.masks[None, :, :])
+                dist = dist.reshape(hi - lo, r) if words == 1 else dist.sum(axis=2, dtype=dist_type)
+                dist -= 1  # wraps to the maximum for the output itself
+                flat = np.flatnonzero(dist < limit)
+                row = flat // r
+                counts[lo:hi] = np.bincount(row, minlength=hi - lo)
+                pieces.append(flat - row * r)
+            indptr = np.zeros(r + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
             cached = (indptr, np.concatenate(pieces) if pieces else np.empty(0, np.int64))
             self._neighbor_csr[k] = cached
@@ -541,7 +607,7 @@ def enumerate_outputs(family: StructureFamily, x=None, *, budget: int | None = N
 def feature_map(family: StructureFamily, x, y: StructuredOutput) -> FeatureVector:
     """Joint feature vector: coordinate (i, j) fires iff the input bit (i, j)
     is set and the structure contains the pair (both elements chosen, or the
-    edge present)."""
+    edge present).  Raises ValueError for a structure the family rejects."""
     if y.family != family:
         raise ValueError("structure does not belong to this family")
     return family.incidence_row(y.components) * input_bits(family, x)

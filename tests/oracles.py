@@ -10,7 +10,9 @@ import itertools
 
 import numpy as np
 
-from randcrf import enumerate_outputs, feature_map, neighbors_k
+from randcrf import (DagFamily, SpanningTreeFamily, SubsetFamily, enumerate_outputs,
+                     feature_map, neighbors_k)
+from randcrf.spaces import unordered_pair_index
 
 
 def all_ordered_pairs(v):
@@ -115,3 +117,61 @@ def random_instance(family, rng, m=4, w_scale=1.0, integer_weights=False):
     else:
         w = rng.normal(0.0, w_scale, size=d)
     return X, ys, w
+
+
+# ---------------------------------------------------------------------------
+# per-output constructions of the enumerated-space tables
+
+
+def masks_reference(sp):
+    """Packed component bitmasks, one bit set per component of each output."""
+    masks = np.zeros((sp.size, (sp.family.component_count + 63) // 64), dtype=np.uint64)
+    for i, y in enumerate(sp.outputs):
+        for c in y.components:
+            masks[i, c >> 6] |= np.uint64(1 << (c & 63))
+    return masks
+
+
+def incidence_row_reference(family, components):
+    """Feature-grid incidence of one structure, pair by pair."""
+    row = np.zeros(family.feature_dim)
+    if isinstance(family, SubsetFamily):
+        for a, b in itertools.combinations(components, 2):
+            row[unordered_pair_index(a, b, family.universe)] = 1.0
+    elif isinstance(family, SpanningTreeFamily):
+        for c in components:
+            p, q = family.edge_of(c)
+            row[unordered_pair_index(p, q, family.num_nodes)] = 1.0
+    else:
+        assert isinstance(family, DagFamily)
+        row[list(components)] = 1.0
+    return row
+
+
+def incidence_reference(sp):
+    return np.vstack([incidence_row_reference(sp.family, y.components) for y in sp.outputs])
+
+
+def feature_indices_reference(incidence):
+    """(width x size) ascending active coordinates per output, padded with d."""
+    d = incidence.shape[1]
+    nz = [np.nonzero(row)[0] for row in incidence]
+    width = max((len(a) for a in nz), default=0) or 1
+    out = np.full((width, len(nz)), d, dtype=np.int64)
+    for i, a in enumerate(nz):
+        out[:len(a), i] = a
+    return out
+
+
+def neighbor_csr_reference(masks, k):
+    """CSR of the outputs at component distance 1..k from each output, by an
+    int64 distance row per output."""
+    counts, data = [], []
+    for row in masks:
+        dist = np.bitwise_count(masks ^ row).sum(axis=1).astype(np.int64)
+        hit = np.nonzero((dist > 0) & (dist <= k))[0].astype(np.int64)
+        counts.append(hit.size)
+        data.append(hit)
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, np.concatenate(data)

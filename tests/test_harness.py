@@ -194,6 +194,48 @@ def test_dataset_round_trip(tmp_path):
     assert all(a == b for a, b in zip(S.outputs, S2.outputs))
 
 
+@pytest.mark.parametrize("bad,message", [
+    ({"x": "2" * 15, "y": [0, 1, 2]}, "other than 0 and 1"),
+    ({"x": "01" * 7, "y": [0, 1, 2]}, "15 bits"),
+    ({"x": "0" * 16, "y": [0, 1, 2]}, "15 bits"),
+    ({"x": [0] * 15, "y": [0, 1, 2]}, "15 bits"),
+    ({"x": "0" * 15}, "'y' must be a list"),
+    ({"x": "0" * 15, "y": "0,1,2"}, "'y' must be a list"),
+    ({"x": "0" * 15, "y": [0, 1.5, 2]}, "'y' must be a list"),
+    ({"x": "0" * 15, "y": [0, 1]}, "not a valid structure"),
+    ({"x": "0" * 15, "y": [2, 1, 0]}, "not a valid structure"),
+    ({"x": "0" * 15, "y": [0, 1, 6]}, "not a valid structure"),
+    ([0, 1], "JSON object"),
+])
+def test_load_dataset_names_the_bad_line(tmp_path, bad, message):
+    fam = SET36
+    good = json.dumps({"x": "1" * fam.feature_dim, "y": [0, 2, 4]})
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join([good, "", json.dumps(bad), good]) + "\n")
+    with pytest.raises(ValueError, match=f"line 3: .*{message}"):
+        load_dataset(path, fam)
+
+
+def test_load_dataset_rejects_out_of_family_structures(tmp_path):
+    # a line of twenty 2s used to load into dag:5,1; an edge set with a cycle
+    # and a non-JSON line are rejected too
+    fam = DagFamily(5, 1)
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps({"x": "2" * fam.feature_dim, "y": []}) + "\n")
+    with pytest.raises(ValueError, match="line 1: .*0 and 1"):
+        load_dataset(path, fam)
+    cycle = [0, 4]  # edges 0->1 and 1->0
+    path.write_text(json.dumps({"x": "0" * fam.feature_dim, "y": cycle}) + "\n")
+    with pytest.raises(ValueError, match="line 1: .*not a valid structure"):
+        load_dataset(path, fam)
+    path.write_text("{x: 1}\n")
+    with pytest.raises(ValueError, match="line 1"):
+        load_dataset(path, fam)
+    path.write_text("\n")
+    with pytest.raises(ValueError, match="no samples"):
+        load_dataset(path, fam)
+
+
 def test_weights_round_trip(tmp_path):
     w = generate_ground_truth(SET36, 9)
     path = tmp_path / "w.json"

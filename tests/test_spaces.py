@@ -11,7 +11,9 @@ from randcrf import (DagFamily, FamilyTooLargeError, SpanningTreeFamily, Structu
                      hamming, make_input, neighbors_k, space)
 from randcrf.spaces import ordered_pair_index, unordered_pair_index
 
-from oracles import brute_force_dag_components, brute_force_tree_components
+from oracles import (brute_force_dag_components, brute_force_tree_components,
+                     feature_indices_reference, incidence_reference, masks_reference,
+                     neighbor_csr_reference)
 
 SET_4_15 = SubsetFamily(4, 15)
 TREE6 = SpanningTreeFamily(6)
@@ -144,6 +146,16 @@ def test_feature_map_rejects_wrong_dimension():
         feature_map(SET_4_15, np.ones(10), enumerate_outputs(SET_4_15)[0])
 
 
+def test_feature_map_rejects_invalid_structures():
+    x = np.ones(SET_4_15.feature_dim)
+    for comps in [(0, 1, 2), (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 15)]:
+        with pytest.raises(ValueError, match="not a valid structure"):
+            feature_map(SET_4_15, x, StructuredOutput(SET_4_15, comps))
+    dag = DagFamily(3, 2)
+    with pytest.raises(ValueError, match="not a valid structure"):  # 0->1, 1->0
+        feature_map(dag, np.ones(dag.feature_dim), StructuredOutput(dag, (0, 2)))
+
+
 # ---------------------------------------------------------------------------
 # hamming distance
 
@@ -236,6 +248,49 @@ def test_neighbor_csr_agrees_with_single_row_lookup():
         row = data[indptr[idx]:indptr[idx + 1]]
         d = sp.distances_to(idx)
         np.testing.assert_array_equal(row, np.nonzero((d > 0) & (d <= 2))[0])
+
+
+# ---------------------------------------------------------------------------
+# enumerated-space tables against per-output constructions
+
+
+@pytest.mark.parametrize("family", [
+    SubsetFamily(2, 5), SubsetFamily(3, 6), SET_4_15,
+    SubsetFamily(2, 70),  # 70 components: two mask words
+    SpanningTreeFamily(4), SpanningTreeFamily(5),
+    DagFamily(3, 2), DagFamily(4, 1), DagFamily(5, 1),  # hold the empty DAG
+], ids=repr)
+def test_tables_match_per_output_constructions(family):
+    sp = space(family)
+    masks = masks_reference(sp)
+    incidence = incidence_reference(sp)
+    assert sp.masks.dtype == masks.dtype and np.array_equal(sp.masks, masks)
+    assert sp.incidence.dtype == incidence.dtype and np.array_equal(sp.incidence, incidence)
+    assert sp.feature_indices.dtype == np.int64
+    assert np.array_equal(sp.feature_indices, feature_indices_reference(incidence))
+    for k in sorted({1, 2, 3, 4, family.hamming_normalizer}):
+        indptr, data = sp.neighbor_csr(k)
+        want_indptr, want_data = neighbor_csr_reference(masks, k)
+        assert indptr.dtype == data.dtype == np.int64
+        assert np.array_equal(indptr, want_indptr) and np.array_equal(data, want_data)
+
+
+def test_neighbor_csr_edge_radii():
+    fam = SubsetFamily(2, 5)
+    sp = space(fam)
+    indptr, data = sp.neighbor_csr(1)  # swaps move distance 2: nobody is that close
+    assert not data.size and not indptr.any()
+    indptr, data = sp.neighbor_csr(fam.hamming_normalizer)  # everybody but self
+    assert np.array_equal(np.diff(indptr), np.full(sp.size, sp.size - 1))
+    for i in range(sp.size):
+        assert i not in data[indptr[i]:indptr[i + 1]]
+
+
+def test_empty_dag_has_an_empty_feature_column():
+    sp = space(DagFamily(3, 2))
+    assert sp.outputs[0].components == ()
+    assert not sp.incidence[0].any()
+    assert (sp.feature_indices[:, 0] == DagFamily(3, 2).feature_dim).all()
 
 
 # ---------------------------------------------------------------------------
