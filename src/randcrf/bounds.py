@@ -8,6 +8,7 @@ randomized training loss.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -129,10 +130,8 @@ def bound_table(grid: dict[str, list]) -> list[tuple]:
         if v is None:
             raise ValueError(f"grid is missing values for '{k}'")
     rows = []
-    import itertools
     for d, s, m, n, r, delta, l1 in itertools.product(*values):
-        w = np.zeros(2)
-        w[0] = l1
+        w = np.array([l1])
         rows.append((d, s, m, n, r, delta, l1,
                      generalization_bound(d, s, m, r, delta),
                      approximation_error(m, w),

@@ -148,7 +148,7 @@ def _add_reproduce(sub):
 
 def _cmd_reproduce(args) -> int:
     methods = tuple(Method(m) for m in args.methods.split(","))
-    all_records = []
+    all_records, missing = [], []
     for family in harness.parse_family_list(args.families):
         cfg = harness.ExperimentConfig(
             family=family, m_train=args.m_train, m_test=args.m_test,
@@ -156,12 +156,19 @@ def _cmd_reproduce(args) -> int:
             iterations=args.iterations, master_seed=args.seed)
         records = harness.run_experiment(cfg, threads=args.threads)
         all_records.extend(records)
-        print(f"{harness.family_label(family)}: {len(records)} records", file=sys.stderr)
+        label = harness.family_label(family)
+        print(f"{label}: {len(records)} records", file=sys.stderr)
+        # run_repetition logs a failed method and drops its record
+        present = {(r.repetition, r.method) for r in records}
+        missing += [(label, rep, m.value) for rep in range(args.reps) for m in methods
+                    if (rep, m.value) not in present]
     harness.write_metrics_csv(args.out, all_records)
+    for label, rep, method in missing:
+        print(f"failed: family {label}, repetition {rep}, method {method}", file=sys.stderr)
     if args.summary:
         harness.write_summary_csv(args.summary, harness.summarize(all_records))
     print(f"wrote {len(all_records)} records to {args.out}")
-    return 0
+    return 1 if missing else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

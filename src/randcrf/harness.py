@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .gumbel_crf import WeightVector, as_weights, full_candidate_set
 from .losses import Dataset, exact_crf_loss, hamming_loss
@@ -278,6 +277,11 @@ SUMMARY_CSV_HEADER = tuple(SummaryRow.__dataclass_fields__)
 
 def summarize(records: Sequence[MetricsRecord]) -> list[SummaryRow]:
     """Per (family, method, metric): mean and 95% t-interval over repetitions."""
+    # imported here, not at module level: loading scipy.stats costs each
+    # process 0.6-1.0 s and about 70 MB resident (2-core x86 VM), and only
+    # summaries need it
+    from scipy import stats
+
     groups: dict[tuple[str, str], list[MetricsRecord]] = {}
     for r in records:
         groups.setdefault((r.family, r.method), []).append(r)

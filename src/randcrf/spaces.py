@@ -68,6 +68,13 @@ def ordered_pair_index(i: int, j: int, n: int) -> int:
     return i * (n - 1) + j - (j > i)
 
 
+def _ordered_pair(index, n: int):
+    """The ordered pair (i, j) at ``index``, the inverse of ``ordered_pair_index``;
+    elementwise (two arrays) for an index array."""
+    i, rem = divmod(index, n - 1)
+    return i, rem + (rem >= i)
+
+
 def unordered_pairs(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
@@ -164,10 +171,7 @@ class SpanningTreeFamily:
 
     def edge_of(self, component: int) -> tuple[int, int]:
         """Decode a component index into a (parent, child) node pair."""
-        v = self.num_nodes
-        i, rem = divmod(component, v - 1)
-        j = rem + (rem >= i)
-        return i, j
+        return _ordered_pair(component, self.num_nodes)
 
     def is_valid(self, components: tuple[int, ...]) -> bool:
         v = self.num_nodes
@@ -200,7 +204,7 @@ class SpanningTreeFamily:
 
     def _feature_cells(self, rows: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # each edge fires its unordered node pair
-        parent, child = _edge_nodes(comps, self.num_nodes)
+        parent, child = _ordered_pair(comps, self.num_nodes)
         return rows, _unordered_pair_columns(np.minimum(parent, child), np.maximum(parent, child),
                                              self.num_nodes)
 
@@ -249,10 +253,8 @@ class DagFamily:
         return space(self).size
 
     def edge_of(self, component: int) -> tuple[int, int]:
-        v = self.num_nodes
-        i, rem = divmod(component, v - 1)
-        j = rem + (rem >= i)
-        return i, j
+        """Decode a component index into a (parent, child) node pair."""
+        return _ordered_pair(component, self.num_nodes)
 
     def is_valid(self, components: tuple[int, ...]) -> bool:
         v = self.num_nodes
@@ -329,12 +331,6 @@ StructureFamily = Union[SubsetFamily, SpanningTreeFamily, DagFamily]
 def _unordered_pair_columns(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     """``unordered_pair_index`` over arrays with i < j elementwise."""
     return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-def _edge_nodes(comps: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parent, child) node arrays of ordered-pair component indices."""
-    parent, rem = np.divmod(comps, v - 1)
-    return parent, rem + (rem >= parent)
 
 
 def _incidence_row(family: StructureFamily, components: tuple[int, ...]) -> FeatureVector:
@@ -466,7 +462,6 @@ class EnumeratedSpace:
                          np.left_shift(np.uint64(1), (comps & 63).astype(np.uint64)))
         self.incidence = np.zeros((self.size, family.feature_dim))
         self.incidence[family._feature_cells(rows, comps)] = 1.0
-        self._neighbors: dict[tuple[int, int], np.ndarray] = {}
         self._neighbor_csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._feature_indices: np.ndarray | None = None
 
@@ -550,13 +545,8 @@ class EnumeratedSpace:
         if csr is not None:
             indptr, data = csr
             return data[indptr[idx]:indptr[idx + 1]]
-        key = (idx, k)
-        cached = self._neighbors.get(key)
-        if cached is None:
-            d = self.distances_to(idx)
-            cached = np.nonzero((d > 0) & (d <= k))[0]
-            self._neighbors[key] = cached
-        return cached
+        d = self.distances_to(idx)
+        return np.nonzero((d > 0) & (d <= k))[0]
 
 
 _SPACE_CACHE: dict[StructureFamily, EnumeratedSpace] = {}

@@ -331,6 +331,24 @@ def test_cli_reproduce_with_worker_processes(tmp_path):
     assert strip_timing(solo) == strip_timing(pooled)
 
 
+def test_cli_reproduce_fails_when_a_method_fails(tmp_path, monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("diverged")
+
+    monkeypatch.setattr("randcrf.harness.train_svm", diverge)
+    out, summary = tmp_path / "m.csv", tmp_path / "s.csv"
+    assert cli.main(["reproduce", "--families", "set:3,6", "--reps", "2", "--m-train", "12",
+                     "--m-test", "12", "--iterations", "2", "--seed", "3",
+                     "--out", str(out), "--summary", str(summary)]) == 1
+    err = capsys.readouterr().err
+    failed = {line for line in err.splitlines() if line.startswith("failed:")}
+    assert failed == {f"failed: family set:3,6, repetition {rep}, method {m}"
+                      for rep in (0, 1) for m in ("svm_all", "svm_rand")}
+    with open(out) as fh:
+        assert {row["method"] for row in csv.DictReader(fh)} == {"crf_all", "crf_rand"}
+    assert summary.exists()
+
+
 def test_thread_count_env_var(monkeypatch):
     monkeypatch.setenv("RANDCRF_THREADS", "2")
     cfg = ExperimentConfig(family=SET36, m_train=10, m_test=10, repetitions=2,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from randcrf import (DagFamily, FamilyTooLargeError, SpanningTreeFamily, StructuredOutput,
                      SubsetFamily, component_distance, enumerate_outputs, feature_map,
                      hamming, make_input, neighbors_k, space)
+from randcrf import spaces
 from randcrf.spaces import ordered_pair_index, unordered_pair_index
 
 from oracles import (brute_force_dag_components, brute_force_tree_components,
@@ -230,15 +231,16 @@ def test_subset_single_swap_neighbor_count():
 
 @pytest.mark.parametrize("family,k", [(SubsetFamily(3, 6), 2), (SpanningTreeFamily(4), 2),
                                       (DagFamily(3, 2), 1), (DagFamily(3, 2), 3)])
-def test_neighbors_match_direct_distance_filter(family, k):
+def test_neighbors_match_direct_distance_filter(family, k, monkeypatch):
+    # a fresh space: balls computed on demand first, then read from the CSR table
+    monkeypatch.setattr(spaces, "_SPACE_CACHE", {})
     outs = enumerate_outputs(family)
-    rng = np.random.default_rng(2)
-    for idx in rng.integers(0, len(outs), 10):
-        y = outs[int(idx)]
-        got = [n.components for n in neighbors_k(family, None, y, k)]
-        want = [z.components for z in outs
-                if z.components != y.components and component_distance(y, z) <= k]
-        assert got == want
+    want = [[z.components for z in outs
+             if z.components != y.components and component_distance(y, z) <= k] for y in outs]
+    assert not space(family)._neighbor_csr
+    assert [[n.components for n in neighbors_k(family, None, y, k)] for y in outs] == want
+    space(family).neighbor_csr(k)
+    assert [[n.components for n in neighbors_k(family, None, y, k)] for y in outs] == want
 
 
 def test_neighbor_csr_agrees_with_single_row_lookup():
