@@ -10,9 +10,10 @@ experiment harness.
 from .bounds import (BoundInputs, approximation_error, approximation_error_tight,
                      beta_condition, generalization_bound, sample_size_condition,
                      statistical_error, total_bound)
-from .gumbel_crf import (CandidateSet, CrfDistribution, PerturbationConfig, Provenance,
-                         WeightVector, as_weights, crf_pmf, full_candidate_set,
-                         gumbel_from_uniform, map_decode, perturbed_decode, sample_gumbel)
+from .gumbel_crf import (CandidateSet, CandidateSets, CrfDistribution, PerturbationConfig,
+                         Provenance, WeightVector, as_candidate_sets, as_weights, crf_pmf,
+                         full_candidate_set, gumbel_from_uniform, map_decode, perturbed_decode,
+                         sample_gumbel)
 from .harness import (ExperimentConfig, MetricsRecord, SummaryRow, family_label,
                       generate_dataset, generate_ground_truth, load_dataset, load_weights,
                       parse_family, parse_family_list, run_experiment, run_repetition,

@@ -82,6 +82,9 @@ def _cmd_eval(args) -> int:
     family = harness.parse_family(args.family)
     S = harness.load_dataset(args.data, family)
     w = harness.load_weights(args.weights)
+    if w.values.size != family.feature_dim:
+        raise ValueError(f"{args.weights}: {w.values.size} weights, but "
+                         f"{args.family} has {family.feature_dim} features")
     beta = args.beta if args.beta is not None else beta_schedule(S.m, space(family).size)
     reports = [exact_crf_loss(w, S, beta), hamming_loss(w, S)]
     with open(args.metrics, "w", newline="") as fh:

@@ -8,13 +8,15 @@ perturbed decoder's output distribution has the closed form computed by
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .spaces import StructureFamily, StructuredOutput, input_bits, space
+from .spaces import EnumeratedSpace, StructureFamily, StructuredOutput, input_bits, space
 
 
 @dataclass(frozen=True)
@@ -77,19 +79,93 @@ class CandidateSet:
         return len(self.outputs)
 
     def __contains__(self, y: StructuredOutput) -> bool:
-        return any(out.components == y.components for out in self.outputs)
+        return y in self.outputs
 
 
-_FULL_SET_CACHE: dict[StructureFamily, CandidateSet] = {}
-
-
+@functools.cache
 def full_candidate_set(family: StructureFamily) -> CandidateSet:
     """The whole output space as a candidate set, in canonical order."""
-    cs = _FULL_SET_CACHE.get(family)
-    if cs is None:
-        cs = CandidateSet(space(family).outputs, Provenance.FULL_SPACE)
-        _FULL_SET_CACHE[family] = cs
-    return cs
+    return CandidateSet(space(family).outputs, Provenance.FULL_SPACE)
+
+
+class CandidateSets(Sequence):
+    """The per-sample candidate sets of one dataset in compressed sparse rows:
+    sample i's set is ``indices[offsets[i]:offsets[i + 1]]``, ascending space
+    positions, so each set is one segment for ``reduceat``.  Items are
+    per-sample ``CandidateSet`` views.  The full space for every sample
+    (``full_space``) keeps offsets only and tiles its indices on request.
+    """
+
+    def __init__(self, family: StructureFamily, offsets: np.ndarray,
+                 indices: np.ndarray | None, provenance: Provenance):
+        self.family = family
+        self.offsets = offsets
+        self._indices = indices
+        self.full_space = indices is None
+        self.provenance = provenance
+
+    @classmethod
+    def from_keys(cls, family: StructureFamily, keys: np.ndarray, m: int,
+                  provenance: Provenance) -> CandidateSets:
+        """From sorted, distinct sample-major keys ``sample * size + index``."""
+        smp, indices = np.divmod(keys, space(family).size)
+        return cls(family, smp.searchsorted(np.arange(m + 1)), indices, provenance)
+
+    @property
+    def indices(self) -> np.ndarray:
+        if self.full_space:
+            return np.tile(np.arange(space(self.family).size), len(self))
+        return self._indices
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.offsets[1:] - self.offsets[:-1]
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The sample of each flat entry."""
+        return np.arange(len(self)).repeat(self.counts)
+
+    def observed_positions(self, y_idx: np.ndarray) -> np.ndarray:
+        """Flat position of each sample's observed output ``y_idx[i]``."""
+        hit = (self.indices == y_idx[self.samples]).nonzero()[0]
+        if hit.size != len(self):
+            raise ValueError("a candidate set does not contain its observed output")
+        return hit
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i: int) -> CandidateSet:
+        i = range(len(self))[i]
+        if self.full_space:
+            return full_candidate_set(self.family)
+        outputs = space(self.family).outputs
+        chosen = self.indices[self.offsets[i]:self.offsets[i + 1]].tolist()
+        return CandidateSet(tuple(outputs[j] for j in chosen), self.provenance)
+
+
+def as_candidate_sets(sets: Sequence[CandidateSet], family: StructureFamily,
+                      m: int) -> CandidateSets:
+    """The candidate sets of an m-sample dataset as one ``CandidateSets``: it
+    passes through, and ``CandidateSet``s sharing one provenance are indexed
+    into one, or kept as offsets alone when every set is the full space."""
+    if len(sets) != m:
+        raise ValueError(f"expected {m} candidate sets, got {len(sets)}")
+    if isinstance(sets, CandidateSets):
+        if sets.family != family:
+            raise ValueError(f"candidate sets of {sets.family} given for {family}")
+        return sets
+    sp = space(family)
+    provenance = sets[0].provenance
+    if any(cs.provenance is not provenance for cs in sets):
+        raise ValueError("candidate sets of one dataset must share one provenance")
+    if provenance is Provenance.FULL_SPACE and all(
+            len(cs) == sp.size and cs.outputs[0] == sp.outputs[0] for cs in sets):
+        return CandidateSets(family, np.arange(m + 1) * sp.size, None, provenance)
+    keys = np.fromiter((i * sp.size + sp.index(y) for i, cs in enumerate(sets)
+                        for y in cs.outputs), dtype=np.int64)
+    return CandidateSets.from_keys(family, np.sort(keys), m, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +212,20 @@ def perturbed_decode(family: StructureFamily, x, w, gamma,
     Ties break toward the earliest index (they have probability zero under
     continuous noise).
     """
-    sp = space(family)
     gamma = np.asarray(gamma, dtype=np.float64)
-    if support is None:
-        outputs = sp.outputs
-        s = sp.scores(x, as_weights(w))
-    else:
-        outputs = support.outputs
-        idx = np.array([sp.index(y) for y in outputs])
-        s = sp.incidence[idx] @ (input_bits(family, x) * as_weights(w))
+    s = _support_scores(family, x, as_weights(w), support)
     if gamma.shape != s.shape:
         raise ValueError(f"gamma has shape {gamma.shape}, expected {s.shape}")
+    outputs = space(family).outputs if support is None else support.outputs
     return outputs[int(np.argmax(s + gamma))]
+
+
+def _support_scores(family: StructureFamily, x, w, support: CandidateSet | None) -> np.ndarray:
+    """Scores of the support's outputs in stored order; of all outputs for None."""
+    sp = space(family)
+    if support is None or (support.provenance is Provenance.FULL_SPACE and len(support) == sp.size):
+        return sp.scores(x, w)
+    return sp.incidence[[sp.index(y) for y in support.outputs]] @ (input_bits(family, x) * w)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +248,7 @@ class CrfDistribution:
             raise ValueError("probs must be a distribution (nonnegative, summing to 1)")
 
     def prob_of(self, y: StructuredOutput) -> float:
-        for i, out in enumerate(self.support.outputs):
-            if out.components == y.components:
-                return float(self.probs[i])
-        raise ValueError(f"{y.components} is not in the support")
+        return float(self.probs[self.support.outputs.index(y)])
 
 
 def crf_pmf(family: StructureFamily, x, w, support: CandidateSet, beta: float) -> CrfDistribution:
@@ -186,13 +261,7 @@ def crf_pmf(family: StructureFamily, x, w, support: CandidateSet, beta: float) -
         raise ValueError(f"beta must be positive, got {beta}")
     if len(support) == 0:
         raise ValueError("support must be nonempty")
-    sp = space(family)
-    w_eff = as_weights(w) / beta
-    if support.provenance is Provenance.FULL_SPACE and len(support) == sp.size:
-        scores = sp.scores(x, w_eff)
-    else:
-        idx = np.array([sp.index(y) for y in support.outputs])
-        scores = sp.incidence[idx] @ (input_bits(family, x) * w_eff)
+    scores = _support_scores(family, x, as_weights(w) / beta, support)
     shift = scores.max()
     e = np.exp(scores - shift)
     z = e.sum()
@@ -209,3 +278,43 @@ def pmf_matrix(sp, bit_matrix: np.ndarray, w, beta: float) -> tuple[np.ndarray, 
     e = np.exp(scores - shift)
     z = e.sum(axis=0)
     return e / z, shift + np.log(z)
+
+
+# ---------------------------------------------------------------------------
+# scores and restricted CRF distributions over flat candidate segments
+
+
+def _pad_features(xw: np.ndarray) -> np.ndarray:
+    # trailing zero column absorbs the sentinel index of feature_indices
+    return np.concatenate([xw, np.zeros((xw.shape[0], 1))], axis=1)
+
+
+def _feature_positions(sp: EnumeratedSpace, d1: int, rows, cand) -> np.ndarray:
+    """(width x n) positions, in a row-major padded matrix with ``d1``
+    columns, of the active features of output ``cand[e]`` under row
+    ``rows[e]``."""
+    pos = sp.feature_indices.take(cand, axis=1)
+    pos += rows * d1
+    return pos
+
+
+def _sum_at(xw_pad, positions) -> np.ndarray:
+    """Column sums of the entries of ``xw_pad`` at ``positions``.  numpy adds
+    across the rows of a C-ordered array one row at a time, so every sum
+    runs in ascending feature order."""
+    return np.add.reduce(xw_pad.ravel().take(positions), axis=0)
+
+
+def _segment_pmfs(sets: CandidateSets, y_idx: np.ndarray, xw_pad: np.ndarray):
+    """Restricted CRF pmfs of all flat candidates (each sample's softmax of
+    its rows of the padded X * (w / beta) over its own set), the flat
+    positions of the observed outputs, and the candidates' feature positions."""
+    y_flat = sets.observed_positions(y_idx)
+    smp = sets.samples
+    positions = _feature_positions(space(sets.family), xw_pad.shape[1], smp, sets.indices)
+    s = _sum_at(xw_pad, positions)
+    starts = sets.offsets[:-1]
+    shift = np.maximum.reduceat(s, starts)
+    e = np.exp(s - shift[smp])
+    z = np.add.reduceat(e, starts)
+    return e / z[smp], y_flat, positions

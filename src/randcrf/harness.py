@@ -413,8 +413,17 @@ def save_weights(path: str, w) -> None:
 
 
 def load_weights(path: str) -> WeightVector:
+    """Read the JSON list of ``save_weights``: a flat, non-empty list of
+    finite numbers, else a ValueError that names the file."""
     with open(path) as fh:
-        return WeightVector(np.array(json.load(fh), dtype=np.float64))
+        try:
+            values = json.load(fh, parse_int=float)  # integers beyond float range -> inf
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not (isinstance(values, list) and values
+            and all(type(v) is float and math.isfinite(v) for v in values)):
+        raise ValueError(f"{path}: weights must be a flat, non-empty JSON list of finite numbers")
+    return WeightVector(np.array(values))
 
 
 def write_metrics_csv(path: str, records: Sequence[MetricsRecord]) -> None:

@@ -13,7 +13,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .gumbel_crf import CandidateSet, Provenance, as_weights, gumbel_from_uniform, pmf_matrix
+from .gumbel_crf import (CandidateSet, _pad_features, _segment_pmfs, as_candidate_sets,
+                         as_weights, gumbel_from_uniform, pmf_matrix)
 from .spaces import StructureFamily, StructuredInput, StructuredOutput, space
 
 
@@ -93,61 +94,29 @@ def exact_crf_loss(w, S: Dataset, beta: float) -> LossReport:
     return _report(1.0 - probs[y_idx, np.arange(S.m)], LossKind.EXACT_CRF)
 
 
-def _set_indices(S: Dataset, sets: Sequence[CandidateSet]) -> list[np.ndarray]:
-    if len(sets) != S.m:
-        raise ValueError(f"expected {S.m} candidate sets, got {len(sets)}")
-    sp = space(S.family)
-    return [np.array([sp.index(y) for y in cs.outputs]) for cs in sets]
-
-
-def _all_full_space(S: Dataset, sets: Sequence[CandidateSet]) -> bool:
-    r = space(S.family).size
-    return all(cs.provenance is Provenance.FULL_SPACE and len(cs) == r for cs in sets)
-
-
 def randomized_loss(w, S: Dataset, Tbar: Sequence[CandidateSet], beta: float) -> LossReport:
     """Mean probability of missing the observed output when the decoder is
     restricted to the per-sample candidate sets; each set must contain it."""
-    if _all_full_space(S, Tbar):
+    sets = as_candidate_sets(Tbar, S.family, S.m)
+    if sets.full_space:
         rep = exact_crf_loss(w, S, beta)
         return LossReport(rep.value, rep.per_sample, LossKind.RANDOMIZED_AUGMENTED)
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    sp = space(S.family)
-    y_idx = _true_indices(S)
-    X = _bit_matrix(S)
-    w_eff = as_weights(w) / beta
-    per = np.empty(S.m)
-    for i, idx in enumerate(_set_indices(S, Tbar)):
-        pos = np.nonzero(idx == y_idx[i])[0]
-        if pos.size == 0:
-            raise ValueError(f"candidate set {i} does not contain the observed output")
-        scores = sp.incidence[idx] @ (X[i] * w_eff)
-        e = np.exp(scores - scores.max())
-        per[i] = 1.0 - e[pos[0]] / e.sum()
-    return _report(per, LossKind.RANDOMIZED_AUGMENTED)
+    xw_pad = _pad_features(_bit_matrix(S) * (as_weights(w) / beta))
+    p, y_flat, _ = _segment_pmfs(sets, _true_indices(S), xw_pad)
+    return _report(1.0 - p[y_flat], LossKind.RANDOMIZED_AUGMENTED)
 
 
 def loss_gap(w, S: Dataset, Tbar: Sequence[CandidateSet], beta: float) -> float:
     """Closed-form difference randomized_loss - exact_crf_loss: minus the mean
     of (restricted probability of the observed output) times (full-space mass
     outside the candidate set).  Always <= 0."""
-    sp = space(S.family)
-    y_idx = _true_indices(S)
-    X = _bit_matrix(S)
-    full_probs, _ = pmf_matrix(sp, X, w, beta)
-    w_eff = as_weights(w) / beta
-    gap = 0.0
-    for i, idx in enumerate(_set_indices(S, Tbar)):
-        pos = np.nonzero(idx == y_idx[i])[0]
-        if pos.size == 0:
-            raise ValueError(f"candidate set {i} does not contain the observed output")
-        scores = sp.incidence[idx] @ (X[i] * w_eff)
-        e = np.exp(scores - scores.max())
-        q_restricted = e[pos[0]] / e.sum()
-        outside = 1.0 - full_probs[idx, i].sum()
-        gap -= q_restricted * outside
-    return gap / S.m
+    sets = as_candidate_sets(Tbar, S.family, S.m)
+    q = 1.0 - randomized_loss(w, S, sets, beta).per_sample
+    full_probs, _ = pmf_matrix(space(S.family), _bit_matrix(S), w, beta)
+    inside = np.add.reduceat(full_probs[sets.indices, sets.samples], sets.offsets[:-1])
+    return float(-(q * (1.0 - inside)).mean())
 
 
 def monte_carlo_loss(w, S: Dataset, beta: float, draws: int, seed: int) -> LossReport:

@@ -19,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import CandidateSet, Provenance, as_weights
-from .losses import Dataset
+from .gumbel_crf import (CandidateSet, CandidateSets, Provenance, _feature_positions,
+                         _pad_features, _sum_at, as_candidate_sets, as_weights)
+from .losses import Dataset, _true_indices
 from .spaces import EnumeratedSpace, StructureFamily, StructuredOutput, input_bits, space
 
 
@@ -63,22 +64,6 @@ def alpha_schedule(w, m: int) -> float:
 #: the gathered entries, and less inside training loops; that ratio is 5-15
 #: for the standard DAG families and above 50 for set and tree.
 _DENSE_PER_GATHER = 32
-
-
-def _feature_positions(sp: EnumeratedSpace, d1: int, rows, cand) -> np.ndarray:
-    """(width x n) positions, in a row-major padded matrix with ``d1``
-    columns, of the active features of output ``cand[e]`` under row
-    ``rows[e]``."""
-    pos = sp.feature_indices.take(cand, axis=1)
-    pos += rows * d1
-    return pos
-
-
-def _sum_at(xw_pad, positions) -> np.ndarray:
-    """Column sums of the entries of ``xw_pad`` at ``positions``.  numpy adds
-    across the rows of a C-ordered array one row at a time, so every sum
-    runs in ascending feature order."""
-    return np.add.reduce(xw_pad.ravel().take(positions), axis=0)
 
 
 def _dense_scores(sp: EnumeratedSpace, xw_pad, rows, cand) -> np.ndarray:
@@ -124,11 +109,6 @@ def _greedy_pairs(sp: EnumeratedSpace, xw_pad, pair_smp, pair_start, k: int) -> 
     return cand[hit[hit.searchsorted(end) - 1]]
 
 
-def _pad_features(xw: np.ndarray) -> np.ndarray:
-    # trailing zero column absorbs the sentinel index of feature_indices
-    return np.concatenate([xw, np.zeros((xw.shape[0], 1))], axis=1)
-
-
 def _unique_keys(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct keys (np.unique costs ~10x more at these sizes)."""
     keys = np.sort(keys)
@@ -136,6 +116,14 @@ def _unique_keys(keys: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
+
+
+def _augment_keys(sp: EnumeratedSpace, keys: np.ndarray, y_idx: np.ndarray) -> CandidateSets:
+    """The sets of sample-major keys ``keys`` (any order, repeats allowed),
+    each joined with its sample's observed output ``y_idx[i]``."""
+    m = y_idx.size
+    merged = _unique_keys(np.concatenate([keys, np.arange(m) * sp.size + y_idx]))
+    return CandidateSets.from_keys(sp.family, merged, m, Provenance.SAMPLED_AUGMENTED)
 
 
 def warm_proposal_tables(family: StructureFamily, k: int) -> None:
@@ -191,16 +179,8 @@ def _batch_end_keys(sp: EnumeratedSpace, xw_pad, y_idx, alpha: float, k: int,
     return pair_smp * sp.size + _greedy_pairs(sp, xw_pad, pair_smp, starts[first], k)
 
 
-def _sets_from_keys(sp: EnumeratedSpace, keys: np.ndarray, m: int,
-                    provenance: Provenance) -> list[CandidateSet]:
-    smp, cand = np.divmod(keys, sp.size)
-    bounds = smp.searchsorted(np.arange(m + 1)).tolist()
-    outputs = [sp.outputs[j] for j in cand.tolist()]
-    return [CandidateSet(tuple(outputs[a:b]), provenance) for a, b in zip(bounds, bounds[1:])]
-
-
 def build_candidate_sets(family: StructureFamily, S: Dataset, w,
-                         cfg: ProposalConfig, rng: np.random.Generator) -> list[CandidateSet]:
+                         cfg: ProposalConfig, rng: np.random.Generator) -> CandidateSets:
     """Per-sample candidate sets from ``cfg.n_target`` proposal draws each,
     deduplicated and in canonical order.
 
@@ -209,21 +189,16 @@ def build_candidate_sets(family: StructureFamily, S: Dataset, w,
     """
     sp = space(family)
     xw_pad = _pad_features(np.asarray(S.inputs, dtype=np.float64) * as_weights(w))
-    y_idx = np.array([sp.index(y) for y in S.outputs])
-    keys = _unique_keys(_batch_end_keys(sp, xw_pad, y_idx, cfg.alpha, cfg.k, cfg.n_target, rng))
-    return _sets_from_keys(sp, keys, S.m, Provenance.SAMPLED)
+    keys = _unique_keys(_batch_end_keys(sp, xw_pad, _true_indices(S), cfg.alpha, cfg.k,
+                                        cfg.n_target, rng))
+    return CandidateSets.from_keys(family, keys, S.m, Provenance.SAMPLED)
 
 
-def augment(T: Sequence[CandidateSet], S: Dataset) -> list[CandidateSet]:
+def augment(T: Sequence[CandidateSet], S: Dataset) -> CandidateSets:
     """Force each candidate set to contain its sample's observed structure."""
-    if len(T) != S.m:
-        raise ValueError(f"expected {S.m} candidate sets, got {len(T)}")
-    out = []
-    for cs, y in zip(T, S.outputs):
-        outputs = cs.outputs if y in cs else tuple(
-            sorted(cs.outputs + (y,), key=lambda o: o.components))
-        out.append(CandidateSet(outputs, Provenance.SAMPLED_AUGMENTED))
-    return out
+    sp = space(S.family)
+    sets = as_candidate_sets(T, S.family, S.m)
+    return _augment_keys(sp, sets.samples * sp.size + sets.indices, _true_indices(S))
 
 
 def proposal_quality_frequency(family: StructureFamily, S: Dataset, w,
@@ -234,19 +209,16 @@ def proposal_quality_frequency(family: StructureFamily, S: Dataset, w,
     maximizer and the set is exactly the singleton of it, or the set's mean
     score clears the observed structure's score by c * ||w||_1.
     """
-    sp = space(family)
+    sets = as_candidate_sets(T, family, S.m)
     wv = as_weights(w)
-    X = np.asarray(S.inputs, dtype=np.float64)
-    l1 = float(np.abs(wv).sum())
-    y_idx = [sp.index(y) for y in S.outputs]
-    ok = 0
-    for i, cs in enumerate(T):
-        scores = sp.incidence @ (X[i] * wv)
-        s_true = scores[y_idx[i]]
-        others = np.delete(scores, y_idx[i])
-        idx = [sp.index(y) for y in cs.outputs]
-        if others.size == 0 or s_true > others.max():
-            ok += idx == [y_idx[i]]
-        else:
-            ok += scores[idx].mean() >= s_true + c * l1
-    return ok / S.m
+    scores = space(family).score_matrix(np.asarray(S.inputs, dtype=np.float64), wv)
+    y_idx = _true_indices(S)
+    smp, cand, cols = sets.samples, sets.indices, np.arange(S.m)
+    with np.errstate(invalid="ignore"):  # an empty set has no mean score and fails
+        set_mean = np.bincount(smp, weights=scores[cand, smp], minlength=S.m) / sets.counts
+    only_y = (sets.counts == 1) & (np.bincount(smp[cand == y_idx[smp]], minlength=S.m) == 1)
+    s_true = scores[y_idx, cols]
+    scores[y_idx, cols] = -np.inf
+    unique_max = s_true > scores.max(axis=0)
+    ok = np.where(unique_max, only_y, set_mean >= s_true + c * float(np.abs(wv).sum()))
+    return float(ok.mean())

@@ -75,14 +75,6 @@ def _ordered_pair(index, n: int):
     return i, rem + (rem >= i)
 
 
-def unordered_pairs(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
-
-
-def ordered_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
 # ---------------------------------------------------------------------------
 # families
 
@@ -122,9 +114,6 @@ class SubsetFamily:
             and _strictly_sorted(components)
             and all(0 <= c < self.universe for c in components)
         )
-
-    def incidence_row(self, components: tuple[int, ...]) -> FeatureVector:
-        return _incidence_row(self, components)
 
     def _feature_cells(self, rows: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # every output holds exactly k sorted elements; each pair of them fires
@@ -198,9 +187,6 @@ class SpanningTreeFamily:
                     seen.add(c)
                     stack.append(c)
         return len(seen) == v
-
-    def incidence_row(self, components: tuple[int, ...]) -> FeatureVector:
-        return _incidence_row(self, components)
 
     def _feature_cells(self, rows: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # each edge fires its unordered node pair
@@ -282,9 +268,6 @@ class DagFamily:
                     ready.append(c)
         return drained == v
 
-    def incidence_row(self, components: tuple[int, ...]) -> FeatureVector:
-        return _incidence_row(self, components)
-
     def _feature_cells(self, rows: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the feature grid is the component grid
         return rows, comps
@@ -324,23 +307,13 @@ StructureFamily = Union[SubsetFamily, SpanningTreeFamily, DagFamily]
 
 # Each family maps flat (output row, component) arrays to the (output row,
 # feature column) cells its outputs fire through ``_feature_cells``; one
-# output's incidence row and the whole space's incidence matrix both come
+# output's ``feature_map`` and the whole space's incidence matrix both come
 # from that map.
 
 
 def _unordered_pair_columns(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     """``unordered_pair_index`` over arrays with i < j elementwise."""
     return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-def _incidence_row(family: StructureFamily, components: tuple[int, ...]) -> FeatureVector:
-    # the maps assume valid structures (a subset's map pairs elements k at a time)
-    if not family.is_valid(tuple(components)):
-        raise ValueError(f"{tuple(components)} is not a valid structure of {family}")
-    comps = np.asarray(components, dtype=np.int64)
-    row = np.zeros(family.feature_dim)
-    row[family._feature_cells(np.zeros_like(comps), comps)[1]] = 1.0
-    return row
 
 
 def _strictly_sorted(components: Sequence[int]) -> bool:
@@ -518,6 +491,8 @@ class EnumeratedSpace:
         return cached
 
     def index(self, y: StructuredOutput) -> int:
+        if y.family is not self.family and y.family != self.family:
+            raise ValueError(f"{y.components} is a structure of {y.family}, not of {self.family}")
         try:
             return self.index_of[y.components]
         except KeyError:
@@ -600,7 +575,13 @@ def feature_map(family: StructureFamily, x, y: StructuredOutput) -> FeatureVecto
     edge present).  Raises ValueError for a structure the family rejects."""
     if y.family != family:
         raise ValueError("structure does not belong to this family")
-    return family.incidence_row(y.components) * input_bits(family, x)
+    # the maps assume valid structures (a subset's map pairs elements k at a time)
+    if not family.is_valid(y.components):
+        raise ValueError(f"{y.components} is not a valid structure of {family}")
+    comps = np.asarray(y.components, dtype=np.int64)
+    row = np.zeros(family.feature_dim)
+    row[family._feature_cells(np.zeros_like(comps), comps)[1]] = 1.0
+    return row * input_bits(family, x)
 
 
 def component_distance(y: StructuredOutput, y2: StructuredOutput) -> int:
@@ -619,8 +600,6 @@ def hamming(y: StructuredOutput, y2: StructuredOutput) -> float:
 def neighbors_k(family: StructureFamily, x, y: StructuredOutput, k: int) -> list[StructuredOutput]:
     """All valid structures within unnormalized distance k of y, excluding y,
     in canonical order."""
-    if y.family != family:
-        raise ValueError("structure does not belong to this family")
     if k <= 0:
         return []
     sp = space(family)

@@ -25,10 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import CandidateSet, Provenance, WeightVector, as_weights, pmf_matrix
-from .losses import Dataset, LossKind, LossReport, _all_full_space, _bit_matrix, _true_indices
-from .proposal import (ProposalConfig, _batch_end_keys, _feature_positions, _pad_features,
-                       _sets_from_keys, _sum_at, _unique_keys, alpha_schedule)
+from .gumbel_crf import (CandidateSet, CandidateSets, WeightVector, _feature_positions,
+                         _pad_features, _segment_pmfs, _sum_at, as_candidate_sets, as_weights,
+                         pmf_matrix)
+from .losses import Dataset, LossKind, LossReport, _bit_matrix, _true_indices
+from .proposal import ProposalConfig, _augment_keys, _batch_end_keys, alpha_schedule
 from .spaces import space
 
 
@@ -79,7 +80,7 @@ class TrainTrace:
     """Per-iteration log; for randomized methods also the final candidate sets."""
 
     rows: tuple[IterationStats, ...]
-    final_candidate_sets: tuple[CandidateSet, ...] | None = None
+    final_candidate_sets: CandidateSets | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -109,54 +110,17 @@ def beta_schedule(m, r: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# flat sample-major candidate segments
+# log-likelihood and gain terms
 
 
-class _Segments:
-    """Candidate indices of all samples in one flat array, sample-major.
-
-    ``keys`` are sample * size + candidate, unique and sorted, with every
-    sample's observed output present (augmented sets).
-    """
-
-    def __init__(self, sp, y_idx: np.ndarray, keys: np.ndarray):
-        m = y_idx.size
-        self.smp, self.cand = np.divmod(keys, sp.size)
-        self.offsets = self.smp.searchsorted(np.arange(m + 1))
-        self.counts = self.offsets[1:] - self.offsets[:-1]
-        if not self.counts.all():
-            raise ValueError("every sample needs a nonempty candidate set")
-        self.y_flat = (self.cand == y_idx[self.smp]).nonzero()[0]
-        if self.y_flat.size != m:
-            raise ValueError("a candidate set does not contain its observed output")
-        # where each candidate's features sit in a padded (m x d+1) input*weight matrix
-        self.positions = _feature_positions(sp, sp.family.feature_dim + 1, self.smp, self.cand)
-
-
-def _keys_from_sets(sp, S: Dataset, sets: Sequence[CandidateSet]) -> np.ndarray:
-    if len(sets) != S.m:
-        raise ValueError(f"expected {S.m} candidate sets, got {len(sets)}")
-    pieces = []
-    for i, cs in enumerate(sets):
-        if len(cs) == 0:
-            raise ValueError(f"candidate set {i} is empty")
-        pieces.append(i * sp.size + np.array(sorted(sp.index(y) for y in cs.outputs)))
-    return np.concatenate(pieces)
-
-
-def _gain_terms_segments(sp, X, seg: _Segments, y_idx, xw_pad):
+def _gain_terms_segments(sp, X, sets: CandidateSets, y_idx, xw_pad):
     """``xw_pad``: the padded input*weight matrix X * (w / beta)."""
     m, d = X.shape
-    s = _sum_at(xw_pad, seg.positions)
-    starts = seg.offsets[:-1]
-    shift = np.maximum.reduceat(s, starts)
-    e = np.exp(s - shift[seg.smp])
-    z = np.add.reduceat(e, starts)
-    p = e / z[seg.smp]
-    q = p[seg.y_flat]
+    p, y_flat, positions = _segment_pmfs(sets, y_idx, xw_pad)
+    q = p[y_flat]
     # candidate-major order, so each feature accumulates in candidate order
-    flat_feat = seg.positions.T.ravel()
-    expected = np.bincount(flat_feat, weights=p.repeat(seg.positions.shape[0]),
+    flat_feat = positions.T.ravel()
+    expected = np.bincount(flat_feat, weights=p.repeat(positions.shape[0]),
                            minlength=m * (d + 1)).reshape(m, d + 1)[:, :d] * X
     observed = sp.incidence[y_idx] * X
     return q, observed - expected
@@ -204,10 +168,10 @@ def _gain_terms(w, S, Tbar, beta):
     sp = space(S.family)
     X = _bit_matrix(S)
     y_idx = _true_indices(S)
-    if _all_full_space(S, Tbar):
+    sets = as_candidate_sets(Tbar, S.family, S.m)
+    if sets.full_space:
         return _gain_terms_full(sp, X, y_idx, w, beta)
-    seg = _Segments(sp, y_idx, _keys_from_sets(sp, S, Tbar))
-    return _gain_terms_segments(sp, X, seg, y_idx, _pad_features(X * (as_weights(w) / beta)))
+    return _gain_terms_segments(sp, X, sets, y_idx, _pad_features(X * (as_weights(w) / beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +179,7 @@ def _gain_terms(w, S, Tbar, beta):
 
 
 def _distance_columns(sp, y_idx):
-    diff = sp.masks[:, None, :] ^ sp.masks[y_idx][None, :, :]
-    return np.bitwise_count(diff).sum(axis=2) / sp.family.hamming_normalizer
+    return sp.pair_distances(np.arange(sp.size)[:, None], y_idx) / sp.family.hamming_normalizer
 
 
 def _hinge_terms_full(sp, X, y_idx, w, dist_cols):
@@ -228,17 +191,18 @@ def _hinge_terms_full(sp, X, y_idx, w, dist_cols):
     return margins, grad
 
 
-def _hinge_terms_segments(sp, X, seg: _Segments, y_idx, xw_pad):
-    s = _sum_at(xw_pad, seg.positions)
-    dist = (np.bitwise_count(sp.masks[seg.cand] ^ sp.masks[y_idx[seg.smp]]).sum(axis=1)
-            / sp.family.hamming_normalizer)
+def _hinge_terms_segments(sp, X, sets: CandidateSets, y_idx, xw_pad):
+    y_flat = sets.observed_positions(y_idx)
+    smp, cand = sets.samples, sets.indices
+    s = _sum_at(xw_pad, _feature_positions(sp, xw_pad.shape[1], smp, cand))
+    dist = sp.pair_distances(cand, y_idx[smp]) / sp.family.hamming_normalizer
     aug = s + dist
-    starts = seg.offsets[:-1]
+    starts = sets.offsets[:-1]
     seg_max = np.maximum.reduceat(aug, starts)
     # ties break toward the smallest canonical key: first position in segment
-    eligible = np.where(aug == seg_max[seg.smp], np.arange(aug.size), aug.size)
-    best = seg.cand[np.minimum.reduceat(eligible, starts)]
-    margins = seg_max - s[seg.y_flat]
+    eligible = np.where(aug == seg_max[smp], np.arange(aug.size), aug.size)
+    best = cand[np.minimum.reduceat(eligible, starts)]
+    margins = seg_max - s[y_flat]
     grad = ((sp.incidence[best] - sp.incidence[y_idx]) * X).mean(axis=0)
     return margins, grad
 
@@ -249,11 +213,11 @@ def hinge_loss(w, S: Dataset, candidates: Sequence[CandidateSet]) -> LossReport:
     sp = space(S.family)
     X = _bit_matrix(S)
     y_idx = _true_indices(S)
-    if _all_full_space(S, candidates):
+    sets = as_candidate_sets(candidates, S.family, S.m)
+    if sets.full_space:
         margins, _ = _hinge_terms_full(sp, X, y_idx, w, _distance_columns(sp, y_idx))
     else:
-        seg = _Segments(sp, y_idx, _keys_from_sets(sp, S, candidates))
-        margins, _ = _hinge_terms_segments(sp, X, seg, y_idx, _pad_features(X * as_weights(w)))
+        margins, _ = _hinge_terms_segments(sp, X, sets, y_idx, _pad_features(X * as_weights(w)))
     return LossReport(float(margins.mean()), margins, LossKind.HINGE)
 
 
@@ -291,31 +255,27 @@ def _train(S: Dataset, cfg: TrainConfig, proposal_cfg):
         beta = cfg.beta if cfg.beta is not None else beta_schedule(m, sp.size)
     step0 = cfg.step0 if cfg.step0 is not None else (beta if is_crf else 1.0)
     dist_cols = _distance_columns(sp, y_idx) if cfg.method is Method.SVM_ALL else None
-    y_keys = np.arange(m) * sp.size + y_idx
 
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(sp.family.feature_dim)
     xw_pad = np.zeros((m, sp.family.feature_dim + 1))
-    keys = None
-    seg = None
+    sets = None
     rows = []
     for t in range(1, cfg.iterations + 1):
         tic = time.perf_counter()
         step = step0 / math.sqrt(t)
         if randomized:
             np.multiply(X, w, out=xw_pad[:, :-1])
-        if randomized and (seg is None or cfg.resample_each_iter):
+        if randomized and (sets is None or cfg.resample_each_iter):
             alpha = alpha_schedule(w, m)
-            sampled = _batch_end_keys(sp, xw_pad, y_idx, alpha,
-                                      proposal_cfg.k, proposal_cfg.n_target, rng)
-            keys = _unique_keys(np.concatenate([sampled, y_keys]))
-            seg = _Segments(sp, y_idx, keys)
+            sets = _augment_keys(sp, _batch_end_keys(sp, xw_pad, y_idx, alpha, proposal_cfg.k,
+                                                     proposal_cfg.n_target, rng), y_idx)
         if is_crf:
             if cfg.method is Method.CRF_ALL:
                 q, diff = _gain_terms_full(sp, X, y_idx, w, beta)
             else:
                 np.multiply(X, w / beta, out=xw_pad[:, :-1])
-                q, diff = _gain_terms_segments(sp, X, seg, y_idx, xw_pad)
+                q, diff = _gain_terms_segments(sp, X, sets, y_idx, xw_pad)
             objective = float(1.0 - q.mean())
             g = diff.mean(axis=0) / beta
             w = w + step * g
@@ -323,19 +283,16 @@ def _train(S: Dataset, cfg: TrainConfig, proposal_cfg):
             if cfg.method is Method.SVM_ALL:
                 margins, g = _hinge_terms_full(sp, X, y_idx, w, dist_cols)
             else:
-                margins, g = _hinge_terms_segments(sp, X, seg, y_idx, xw_pad)
+                margins, g = _hinge_terms_segments(sp, X, sets, y_idx, xw_pad)
             objective = float(margins.mean())
             w = w - step * g
         w = soft_threshold(w, step * cfg.l1_lambda)
         if not np.isfinite(objective):
             raise RuntimeError(f"{cfg.method.value} diverged at iteration {t}: objective={objective}")
         if randomized:
-            size_mean, size_max = keys.size / m, int(seg.counts.max())
+            size_mean, size_max = sets.indices.size / m, int(sets.counts.max())
         else:
             size_mean, size_max = float(sp.size), sp.size
         rows.append(IterationStats(t, objective, float(np.abs(g).max()),
                                    time.perf_counter() - tic, size_mean, size_max))
-    final_sets = None
-    if randomized:
-        final_sets = tuple(_sets_from_keys(sp, keys, m, Provenance.SAMPLED_AUGMENTED))
-    return WeightVector(w), TrainTrace(tuple(rows), final_sets)
+    return WeightVector(w), TrainTrace(tuple(rows), sets)

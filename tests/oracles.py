@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's enumeration and scoring
 machinery: structures are generated by exhaustive scans with direct validity
 checks, scores by explicit feature dot products, and the proposal pass by a
-literal transcription of its definition.
+literal transcription of its definition.  The exceptions are the
+restricted-loss and augmentation references at the end: they are the
+per-sample loops that the library's segment reductions replaced, and they
+index and score through the enumerated space.
 """
 
 import itertools
@@ -11,7 +14,8 @@ import itertools
 import numpy as np
 
 from randcrf import (DagFamily, SpanningTreeFamily, SubsetFamily, enumerate_outputs,
-                     feature_map, neighbors_k)
+                     feature_map, neighbors_k, space)
+from randcrf.gumbel_crf import pmf_matrix
 from randcrf.spaces import unordered_pair_index
 
 
@@ -175,3 +179,51 @@ def neighbor_csr_reference(masks, k):
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, np.concatenate(data)
+
+
+# ---------------------------------------------------------------------------
+# per-sample restricted losses and augmentation
+
+
+def _restricted_observed_prob(sp, x, w_eff, cs, y):
+    idx = np.array([sp.index(o) for o in cs.outputs])
+    pos = np.nonzero(idx == sp.index(y))[0]
+    if pos.size == 0:
+        raise ValueError("candidate set does not contain the observed output")
+    scores = sp.incidence[idx] @ (x * w_eff)
+    e = np.exp(scores - scores.max())
+    return e[pos[0]] / e.sum(), idx
+
+
+def randomized_loss_reference(w, S, sets, beta):
+    """Per-sample probability of missing the observed output under the
+    decoder restricted to each candidate set, one sample at a time."""
+    sp = space(S.family)
+    X = np.asarray(S.inputs, dtype=np.float64)
+    w_eff = np.asarray(w, dtype=np.float64) / beta
+    return np.array([1.0 - _restricted_observed_prob(sp, X[i], w_eff, cs, y)[0]
+                     for i, (cs, y) in enumerate(zip(sets, S.outputs))])
+
+
+def loss_gap_reference(w, S, sets, beta):
+    """Minus the mean of (restricted probability of the observed output)
+    times (full-space mass outside the candidate set), one sample at a time."""
+    sp = space(S.family)
+    X = np.asarray(S.inputs, dtype=np.float64)
+    full_probs, _ = pmf_matrix(sp, X, w, beta)
+    w_eff = np.asarray(w, dtype=np.float64) / beta
+    gap = 0.0
+    for i, (cs, y) in enumerate(zip(sets, S.outputs)):
+        q, idx = _restricted_observed_prob(sp, X[i], w_eff, cs, y)
+        gap -= q * (1.0 - full_probs[idx, i].sum())
+    return gap / S.m
+
+
+def augment_reference(sets, S):
+    """Component tuples of each set after adding its observed output where
+    missing, by a sorted merge."""
+    out = []
+    for cs, y in zip(sets, S.outputs):
+        comps = [o.components for o in cs.outputs]
+        out.append(comps if y.components in comps else sorted(comps + [y.components]))
+    return out

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randcrf import (CandidateSet, PerturbationConfig, Provenance, SpanningTreeFamily,
-                     SubsetFamily, WeightVector, crf_pmf, enumerate_outputs,
+from randcrf import (CandidateSet, CandidateSets, PerturbationConfig, Provenance,
+                     SpanningTreeFamily, SubsetFamily, WeightVector, as_candidate_sets, crf_pmf,
+                     enumerate_outputs,
                      full_candidate_set, gumbel_from_uniform, map_decode, perturbed_decode,
                      sample_gumbel, space)
 from randcrf.gumbel_crf import pmf_matrix
@@ -225,6 +226,46 @@ def test_candidate_set_membership():
     outs = enumerate_outputs(SET23)
     cs = CandidateSet((outs[0], outs[2]), Provenance.SAMPLED)
     assert outs[0] in cs and outs[1] not in cs and len(cs) == 2
+
+
+def test_candidate_sets_store_indices_and_give_per_sample_views():
+    fam = SubsetFamily(3, 6)
+    outs = space(fam).outputs
+    lists = [CandidateSet((outs[7], outs[2]), Provenance.SAMPLED),
+             CandidateSet((), Provenance.SAMPLED), CandidateSet((outs[5],), Provenance.SAMPLED)]
+    sets = as_candidate_sets(lists, fam, 3)
+    assert isinstance(sets, CandidateSets) and not sets.full_space
+    assert sets.offsets.tolist() == [0, 2, 2, 3] and sets.indices.tolist() == [2, 7, 5]
+    assert sets.samples.tolist() == [0, 0, 2] and sets.counts.tolist() == [2, 0, 1]
+    assert len(sets) == 3 and len(sets[0]) == 2 and len(sets[-2]) == 0
+    assert sets[0].outputs == (outs[2], outs[7]) and outs[7] in sets[0]
+    assert [cs.outputs for cs in sets][1:] == [(), (outs[5],)]
+    assert all(cs.provenance is Provenance.SAMPLED for cs in sets)
+    assert as_candidate_sets(sets, fam, 3) is sets
+    with pytest.raises(IndexError):
+        sets[3]
+    for bad in (lists[:2], lists + lists[:1]):
+        with pytest.raises(ValueError, match="expected 3 candidate sets"):
+            as_candidate_sets(bad, fam, 3)
+    with pytest.raises(ValueError):
+        as_candidate_sets(sets, SubsetFamily(3, 7), 3)
+    with pytest.raises(ValueError, match="provenance"):
+        as_candidate_sets(lists[:2] + [CandidateSet((outs[5],), Provenance.SAMPLED_AUGMENTED)],
+                          fam, 3)
+
+
+def test_full_space_candidate_sets_keep_offsets_only():
+    fam = SubsetFamily(3, 6)
+    sets = as_candidate_sets([full_candidate_set(fam)] * 4, fam, 4)
+    assert sets.full_space and sets._indices is None
+    assert sets.provenance is Provenance.FULL_SPACE
+    assert sets.counts.tolist() == [20] * 4
+    assert sets.indices.tolist() == list(range(20)) * 4
+    assert all(cs is full_candidate_set(fam) for cs in sets)
+    sampled = CandidateSet(space(fam).outputs, Provenance.SAMPLED)
+    relabeled = as_candidate_sets([sampled] * 4, fam, 4)
+    assert not relabeled.full_space
+    np.testing.assert_array_equal(relabeled.indices, sets.indices)
 
 
 def test_crf_pmf_requires_nonempty_support():

@@ -244,6 +244,34 @@ def test_weights_round_trip(tmp_path):
     assert isinstance(json.loads(path.read_text()), list)
 
 
+@pytest.mark.parametrize("text", [
+    "[NaN, 1.0]", "[1.0, Infinity]", "[1, " + "9" * 400 + "]", "[[0.5, 1.0]]", "[]",
+    '{"w": [1.0]}', '[1.0, "2"]', "[true, 0.5]",
+], ids=["nan", "inf", "huge-int", "nested", "empty", "object", "string", "bool"])
+def test_load_weights_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="w.json: weights must be a flat, non-empty JSON list "
+                                         "of finite numbers"):
+        load_weights(path)
+    path.write_text(text[:-1])  # cut short: not JSON at all
+    with pytest.raises(ValueError, match="w.json: "):
+        load_weights(path)
+
+
+def test_cli_eval_rejects_weights_of_the_wrong_length(tmp_path):
+    data = tmp_path / "d.jsonl"
+    assert cli.main(["gen-data", "--family", "set:3,6", "--seed", "1", "--m", "5",
+                     "--out", str(data)]) == 0
+    for text, message in (("[0.5, 1.0]", "2 weights, but set:3,6 has 15 features"),
+                          ("[NaN" + ", 0.0" * 14 + "]", "weights must be a flat")):
+        weights = tmp_path / "w.json"
+        weights.write_text(text)
+        with pytest.raises(ValueError, match=f"w.json: {message}"):
+            cli.main(["eval", "--weights", str(weights), "--data", str(data),
+                      "--family", "set:3,6", "--metrics", str(tmp_path / "m.csv")])
+
+
 def test_experiment_config_round_trip():
     cfg = ExperimentConfig(family=SET36, repetitions=3, methods=(Method.CRF_RAND,),
                            master_seed=11)

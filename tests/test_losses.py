@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from randcrf import (CandidateSet, Dataset, LossKind, Provenance, SpanningTreeFamily,
-                     SubsetFamily, enumerate_outputs, exact_crf_loss, full_candidate_set,
-                     hamming_loss, loss_gap, monte_carlo_loss, randomized_loss, space)
+from randcrf import (CandidateSet, DagFamily, Dataset, LossKind, ProposalConfig, Provenance,
+                     SpanningTreeFamily, SubsetFamily, augment, build_candidate_sets,
+                     enumerate_outputs, exact_crf_loss, full_candidate_set, hamming_loss,
+                     loss_gap, monte_carlo_loss, randomized_loss, space)
 from randcrf.spaces import StructuredOutput
 
-from oracles import exhaustive_map_decode, random_instance
+from oracles import (augment_reference, exhaustive_map_decode, loss_gap_reference,
+                     random_instance, randomized_loss_reference)
 
 SET36 = SubsetFamily(3, 6)  # r = 20
 
@@ -161,6 +163,74 @@ def test_monotone_in_support():
         lo = randomized_loss(w, S, small, 1.0).per_sample
         hi = randomized_loss(w, S, big, 1.0).per_sample
         assert (lo <= hi + 1e-12).all()
+
+
+def test_outputs_of_another_family_are_rejected():
+    # (0, 1) of set:2,5 shares its components with (0, 1) of set:2,6
+    fam, other = SubsetFamily(2, 6), SubsetFamily(2, 5)
+    y = StructuredOutput(fam, (2, 3))
+    foreign = StructuredOutput(other, (0, 1))
+    S = Dataset(fam, np.ones((1, fam.feature_dim), dtype=np.uint8), (y,))
+    sets = [CandidateSet((foreign, y), Provenance.SAMPLED_AUGMENTED)]
+    assert y in sets[0] and StructuredOutput(fam, (0, 1)) not in sets[0]
+    with pytest.raises(ValueError, match="not of SubsetFamily"):
+        augment(sets, S)
+    with pytest.raises(ValueError, match="not of SubsetFamily"):
+        randomized_loss(np.zeros(fam.feature_dim), S, sets, 1.0)
+    with pytest.raises(ValueError, match="not of SubsetFamily"):
+        space(fam).index(foreign)
+
+
+# ---------------------------------------------------------------------------
+# segment reductions against the per-sample loops
+
+
+def _raw_and_augmented_sets(S, w, rng):
+    """Candidate sets before augmentation (random singletons, mixed sizes
+    with and without the observed output, the full space relabelled
+    sampled, proposal draws at alpha = 1) and sets that already hold every
+    observed output (singletons of it, mixed sizes, the full space relabelled
+    augmented)."""
+    sp = space(S.family)
+    full = full_candidate_set(S.family).outputs
+
+    def pick(n):
+        return tuple(sp.outputs[i] for i in sorted(rng.choice(sp.size, n, replace=False)))
+
+    raw = [
+        [CandidateSet(pick(1), Provenance.SAMPLED) for _ in range(S.m)],
+        [CandidateSet(pick(int(rng.integers(0, 7))), Provenance.SAMPLED) for _ in range(S.m)],
+        [CandidateSet(full, Provenance.SAMPLED)] * S.m,
+        build_candidate_sets(S.family, S, w, ProposalConfig(alpha=1.0, k=2, n_target=4),
+                             np.random.default_rng(int(rng.integers(1 << 30)))),
+    ]
+    augmented = [
+        [CandidateSet((y,), Provenance.SAMPLED_AUGMENTED) for y in S.outputs],
+        random_augmented_sets(S, rng, max_extra=6),
+        [CandidateSet(full, Provenance.SAMPLED_AUGMENTED)] * S.m,
+    ]
+    return raw, augmented
+
+
+@pytest.mark.parametrize("family", [SET36, SpanningTreeFamily(4), DagFamily(3, 2)])
+def test_segment_losses_match_per_sample_loops(family):
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        S, w = make_dataset(family, rng, m=8)
+        raw, augmented = _raw_and_augmented_sets(S, w, rng)
+        for sets in raw:
+            merged = augment(sets, S)
+            assert merged.provenance is Provenance.SAMPLED_AUGMENTED
+            assert [[o.components for o in cs.outputs] for cs in merged] \
+                == augment_reference(sets, S)
+            augmented.append(merged)
+        for sets in augmented:
+            for beta in (0.3, 1.0, 4.0):
+                got = randomized_loss(w, S, sets, beta).per_sample
+                np.testing.assert_allclose(got, randomized_loss_reference(w, S, sets, beta),
+                                           rtol=0, atol=1e-12)
+                assert abs(loss_gap(w, S, sets, beta)
+                           - loss_gap_reference(w, S, sets, beta)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
