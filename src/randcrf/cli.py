@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -15,8 +14,7 @@ from . import harness
 from .bounds import BOUND_TABLE_HEADER, bound_table
 from .losses import LOSS_CSV_HEADER, exact_crf_loss, hamming_loss
 from .spaces import space
-from .trainer import (TRACE_CSV_HEADER, Method, beta_schedule, trace_csv_rows,
-                      train_crf, train_svm)
+from .trainer import TRACE_CSV_HEADER, Method, beta_schedule, trace_csv_rows
 
 
 def _add_gen_data(sub):
@@ -52,7 +50,10 @@ def _add_train(sub):
 
 def _cmd_train(args) -> int:
     with open(args.config) as fh:
-        cfg = harness.ExperimentConfig.from_dict(json.load(fh))
+        try:
+            cfg = harness.ExperimentConfig.from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     method = Method(args.method)
     S = harness.load_dataset(args.data, cfg.family)
     w_hat, trace = harness._train_method(method, S, cfg, cfg.master_seed)
@@ -145,8 +146,6 @@ def _add_reproduce(sub):
     p.add_argument("--iterations", type=int, default=20)
     p.add_argument("--l1", type=float, default=0.01)
     p.add_argument("--methods", default=",".join(m.value for m in Method))
-    p.add_argument("--threads", type=int,
-                   help=f"worker processes; default ${harness.THREADS_ENV_VAR} or 1")
 
 
 def _cmd_reproduce(args) -> int:
@@ -157,7 +156,7 @@ def _cmd_reproduce(args) -> int:
             family=family, m_train=args.m_train, m_test=args.m_test,
             repetitions=args.reps, methods=methods, l1_lambda=args.l1,
             iterations=args.iterations, master_seed=args.seed)
-        records = harness.run_experiment(cfg, threads=args.threads)
+        records = harness.run_experiment(cfg)
         all_records.extend(records)
         label = harness.family_label(family)
         print(f"{label}: {len(records)} records", file=sys.stderr)
@@ -197,8 +196,17 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    """Run one subcommand; an input error (ValueError, OSError) prints one
+    line to stderr and returns 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "reproduce" and args.summary and args.reps < 2:
+        parser.error("reproduce --summary needs --reps 2 or more for confidence intervals")
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:
+        print(f"randcrf: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,10 +13,8 @@ import csv
 import json
 import logging
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +28,6 @@ from .trainer import (Method, TrainConfig, TrainTrace, beta_schedule, hinge_loss
                       train_crf, train_svm)
 
 log = logging.getLogger(__name__)
-
-THREADS_ENV_VAR = "RANDCRF_THREADS"
 
 _STREAMS = {"ground_truth": 0, "train_x": 1, "test_x": 2, "proposal": 3, "gumbel": 4}
 _METHOD_IDS = {m: i for i, m in enumerate(Method)}
@@ -98,7 +94,6 @@ class ExperimentConfig:
     n_target: int | None = None  # None -> ceil(sqrt(m_train))
     neighborhood_k: int | None = None  # None -> default_neighborhood_radius(family)
     beta: float | None = None  # None -> beta_schedule(m_train, r)
-    resample_each_iter: bool = True
     master_seed: int = 0
 
     def __post_init__(self):
@@ -112,14 +107,17 @@ class ExperimentConfig:
         return (self.neighborhood_k if self.neighborhood_k is not None
                 else default_neighborhood_radius(self.family))
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["family"] = family_label(self.family)
-        d["methods"] = [m.value for m in self.methods]
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Config from parsed JSON: ``family`` is a label such as 'set:4,15',
+        ``methods`` a list of method names; a ValueError names unknown keys."""
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        if "family" not in d:
+            raise ValueError("config lacks the key 'family'")
         d = dict(d)
         d["family"] = parse_family(d["family"])
         if "methods" in d:
@@ -164,8 +162,7 @@ TIMING_COLUMNS = ("train_seconds",)
 def _train_method(method: Method, S_train: Dataset, cfg: ExperimentConfig,
                   seed: int) -> tuple[WeightVector, TrainTrace]:
     tc = TrainConfig(method=method, l1_lambda=cfg.l1_lambda, iterations=cfg.iterations,
-                     step0=cfg.step0, beta=cfg.beta,
-                     resample_each_iter=cfg.resample_each_iter, seed=seed)
+                     step0=cfg.step0, beta=cfg.beta, seed=seed)
     pc = ProposalConfig(alpha=0.0, k=cfg.resolved_k(), n_target=cfg.resolved_n_target())
     if method in (Method.CRF_ALL, Method.CRF_RAND):
         return train_crf(S_train, tc, pc)
@@ -235,24 +232,9 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord
     return records
 
 
-def _repetition_worker(args) -> list[MetricsRecord]:
-    cfg_dict, repetition = args
-    return run_repetition(ExperimentConfig.from_dict(cfg_dict), repetition)
-
-
-def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> list[MetricsRecord]:
-    """All repetitions, merged and sorted by (repetition, method)."""
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    records: list[MetricsRecord] = []
-    if threads > 1:
-        jobs = [(cfg.to_dict(), rep) for rep in range(cfg.repetitions)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(_repetition_worker, jobs):
-                records.extend(chunk)
-    else:
-        for rep in range(cfg.repetitions):
-            records.extend(run_repetition(cfg, rep))
+def run_experiment(cfg: ExperimentConfig) -> list[MetricsRecord]:
+    """All repetitions, sorted by (repetition, method)."""
+    records = [r for rep in range(cfg.repetitions) for r in run_repetition(cfg, rep)]
     records.sort(key=lambda r: (r.repetition, r.method))
     return records
 

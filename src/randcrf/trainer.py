@@ -53,7 +53,6 @@ class TrainConfig:
     iterations: int = 20
     step0: float | None = None
     beta: float | None = None  # None -> beta_schedule(m, r) for CRF methods
-    resample_each_iter: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -266,7 +265,6 @@ def _train(S: Dataset, cfg: TrainConfig, proposal_cfg):
         step = step0 / math.sqrt(t)
         if randomized:
             np.multiply(X, w, out=xw_pad[:, :-1])
-        if randomized and (sets is None or cfg.resample_each_iter):
             alpha = alpha_schedule(w, m)
             sets = _augment_keys(sp, _batch_end_keys(sp, xw_pad, y_idx, alpha, proposal_cfg.k,
                                                      proposal_cfg.n_target, rng), y_idx)

@@ -259,24 +259,65 @@ def test_load_weights_rejects_malformed_files(tmp_path, text):
         load_weights(path)
 
 
-def test_cli_eval_rejects_weights_of_the_wrong_length(tmp_path):
+def test_cli_eval_rejects_weights_of_the_wrong_length(tmp_path, capsys):
     data = tmp_path / "d.jsonl"
     assert cli.main(["gen-data", "--family", "set:3,6", "--seed", "1", "--m", "5",
                      "--out", str(data)]) == 0
+    capsys.readouterr()
     for text, message in (("[0.5, 1.0]", "2 weights, but set:3,6 has 15 features"),
                           ("[NaN" + ", 0.0" * 14 + "]", "weights must be a flat")):
         weights = tmp_path / "w.json"
         weights.write_text(text)
-        with pytest.raises(ValueError, match=f"w.json: {message}"):
-            cli.main(["eval", "--weights", str(weights), "--data", str(data),
-                      "--family", "set:3,6", "--metrics", str(tmp_path / "m.csv")])
+        assert cli.main(["eval", "--weights", str(weights), "--data", str(data),
+                         "--family", "set:3,6", "--metrics", str(tmp_path / "m.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"randcrf: {weights}: {message}")
+        assert err.count("\n") == 1
+
+
+def test_cli_input_errors_print_one_line(tmp_path, capsys):
+    data, weights = tmp_path / "d.jsonl", tmp_path / "w.json"
+    save_weights(weights, np.zeros(SET36.feature_dim))
+    eval_args = ["eval", "--weights", str(weights), "--data", str(data),
+                 "--family", "set:3,6", "--metrics", str(tmp_path / "m.csv")]
+    assert cli.main(eval_args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("randcrf: ") and "No such file" in err and str(data) in err
+    assert err.count("\n") == 1
+    data.write_text(json.dumps({"x": "0" * SET36.feature_dim, "y": [0, 1]}) + "\n")
+    assert cli.main(eval_args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"randcrf: {data}, line 1: 'y' [0, 1] is not a valid structure")
+    assert err.count("\n") == 1
 
 
 def test_experiment_config_round_trip():
-    cfg = ExperimentConfig(family=SET36, repetitions=3, methods=(Method.CRF_RAND,),
-                           master_seed=11)
-    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert again == cfg
+    # the way `train --config` reads it: JSON text with a family label and
+    # method names
+    text = json.dumps({"family": "set:3,6", "repetitions": 3, "methods": ["crf_rand"],
+                       "master_seed": 11})
+    cfg = ExperimentConfig.from_dict(json.loads(text))
+    assert cfg == ExperimentConfig(family=SET36, repetitions=3, methods=(Method.CRF_RAND,),
+                                   master_seed=11)
+    assert ExperimentConfig.from_dict({"family": "tree"}) == \
+        ExperimentConfig(family=SpanningTreeFamily(6))
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"family": "set:3,6", "bogus": 1, "alpha": 2}, "unknown config keys: alpha, bogus"),
+    ({"m_train": 10}, "config lacks the key 'family'"),
+    (["set:3,6"], "config must be a JSON object"),
+])
+def test_cli_train_rejects_bad_config_files(tmp_path, capsys, config, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig.from_dict(config)
+    path, data = tmp_path / "cfg.json", tmp_path / "d.jsonl"
+    path.write_text(json.dumps(config))
+    data.write_text(json.dumps({"x": "0" * SET36.feature_dim, "y": [0, 1, 2]}) + "\n")
+    assert cli.main(["train", "--method", "crf_all", "--config", str(path), "--data", str(data),
+                     "--out-weights", str(tmp_path / "w.json")]) == 2
+    assert capsys.readouterr().err == f"randcrf: {path}: {message}\n"
+    assert not (tmp_path / "w.json").exists()
 
 
 def test_metrics_csv_write(tmp_path, smoke_records):
@@ -350,13 +391,18 @@ def test_cli_reproduce_is_deterministic(tmp_path):
     assert len(strip_timing(a).split("\n")) == 2 * 4 + 1
 
 
-def test_cli_reproduce_with_worker_processes(tmp_path):
-    base = ["reproduce", "--families", "set:3,6", "--reps", "2", "--m-train", "12",
-            "--m-test", "12", "--iterations", "2", "--seed", "9", "--methods", "crf_rand"]
-    solo, pooled = tmp_path / "solo.csv", tmp_path / "pooled.csv"
-    assert cli.main(base + ["--out", str(solo)]) == 0
-    assert cli.main(base + ["--out", str(pooled), "--threads", "2"]) == 0
-    assert strip_timing(solo) == strip_timing(pooled)
+def test_cli_reproduce_summary_needs_two_repetitions(tmp_path, capsys, monkeypatch):
+    def train(*args, **kwargs):
+        raise AssertionError("trained before the arguments were checked")
+
+    monkeypatch.setattr("randcrf.harness._train_method", train)
+    out = tmp_path / "m.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reproduce", "--families", "set:3,6", "--reps", "1", "--out", str(out),
+                  "--summary", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert "--summary needs --reps 2 or more" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_reproduce_fails_when_a_method_fails(tmp_path, monkeypatch, capsys):
@@ -375,14 +421,3 @@ def test_cli_reproduce_fails_when_a_method_fails(tmp_path, monkeypatch, capsys):
     with open(out) as fh:
         assert {row["method"] for row in csv.DictReader(fh)} == {"crf_all", "crf_rand"}
     assert summary.exists()
-
-
-def test_thread_count_env_var(monkeypatch):
-    monkeypatch.setenv("RANDCRF_THREADS", "2")
-    cfg = ExperimentConfig(family=SET36, m_train=10, m_test=10, repetitions=2,
-                           iterations=2, methods=(Method.SVM_RAND,), master_seed=13)
-    pooled = run_experiment(cfg)
-    monkeypatch.delenv("RANDCRF_THREADS")
-    solo = run_experiment(cfg)
-    assert [(r.repetition, r.train_loss, r.test_hamming) for r in pooled] \
-        == [(r.repetition, r.train_loss, r.test_hamming) for r in solo]

@@ -269,14 +269,3 @@ def test_method_entrypoints_are_checked():
         train_svm(S, TrainConfig(method=Method.CRF_RAND))
     with pytest.raises(ValueError):
         train_crf(S, TrainConfig(method=Method.CRF_RAND, beta=1.0))  # no proposal config
-
-
-def test_frozen_sets_are_reused_when_resampling_disabled():
-    rng = np.random.default_rng(12)
-    S = make_dataset(SET36, rng, m=6)
-    pc = ProposalConfig(alpha=1.0, k=2, n_target=4)
-    cfg = TrainConfig(method=Method.CRF_RAND, iterations=5, beta=1.0,
-                      resample_each_iter=False, seed=3)
-    _, trace = train_crf(S, cfg, pc)
-    sizes = {(r.set_size_mean, r.set_size_max) for r in trace.rows}
-    assert len(sizes) == 1
