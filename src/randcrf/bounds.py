@@ -123,8 +123,12 @@ BOUND_TABLE_HEADER = ("d", "s", "m", "n", "r", "delta", "l1",
 
 def bound_table(grid: dict[str, list]) -> list[tuple]:
     """Cartesian product of the grid values; ``l1`` feeds the approximation
-    term as the weight vector's L1 norm (default 0)."""
+    term as the weight vector's L1 norm (default 0).  A key other than
+    d, s, m, n, r, delta and l1 is an error."""
     keys = ("d", "s", "m", "n", "r", "delta", "l1")
+    unknown = sorted(set(grid) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown grid keys: {', '.join(unknown)}")
     values = [grid.get(k, [0.0] if k == "l1" else None) for k in keys]
     for k, v in zip(keys, values):
         if v is None:

@@ -8,11 +8,9 @@ perturbed decoder's output distribution has the closed form computed by
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -57,59 +55,40 @@ def as_weights(w) -> np.ndarray:
     return np.asarray(w.values if isinstance(w, WeightVector) else w, dtype=np.float64)
 
 
-class Provenance(Enum):
-    FULL_SPACE = "full_space"
-    SAMPLED = "sampled"
-    SAMPLED_AUGMENTED = "sampled_augmented"
+def full_candidate_set(family: StructureFamily) -> tuple[StructuredOutput, ...]:
+    """The whole output space as a candidate set, in canonical order: the
+    space's own ``outputs`` tuple, which lists of per-sample sets recognize
+    by identity."""
+    return space(family).outputs
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Ordered, duplicate-free collection of structures with its provenance."""
-
-    outputs: tuple[StructuredOutput, ...]
-    provenance: Provenance
-
-    def __post_init__(self):
-        keys = {y.components for y in self.outputs}
-        if len(keys) != len(self.outputs):
-            raise ValueError("candidate set contains duplicate structures")
-
-    def __len__(self) -> int:
-        return len(self.outputs)
-
-    def __contains__(self, y: StructuredOutput) -> bool:
-        return y in self.outputs
-
-
-@functools.cache
-def full_candidate_set(family: StructureFamily) -> CandidateSet:
-    """The whole output space as a candidate set, in canonical order."""
-    return CandidateSet(space(family).outputs, Provenance.FULL_SPACE)
+def _distinct(idx: np.ndarray) -> np.ndarray:
+    """``idx`` sorted, after checking that no entry repeats."""
+    idx = np.sort(idx)
+    if (idx[1:] == idx[:-1]).any():
+        raise ValueError("candidate set contains duplicate structures")
+    return idx
 
 
 class CandidateSets(Sequence):
     """The per-sample candidate sets of one dataset in compressed sparse rows:
     sample i's set is ``indices[offsets[i]:offsets[i + 1]]``, ascending space
     positions, so each set is one segment for ``reduceat``.  Items are
-    per-sample ``CandidateSet`` views.  The full space for every sample
+    per-sample tuples of outputs.  The full space for every sample
     (``full_space``) keeps offsets only and tiles its indices on request.
     """
 
-    def __init__(self, family: StructureFamily, offsets: np.ndarray,
-                 indices: np.ndarray | None, provenance: Provenance):
+    def __init__(self, family: StructureFamily, offsets: np.ndarray, indices: np.ndarray | None):
         self.family = family
         self.offsets = offsets
         self._indices = indices
         self.full_space = indices is None
-        self.provenance = provenance
 
     @classmethod
-    def from_keys(cls, family: StructureFamily, keys: np.ndarray, m: int,
-                  provenance: Provenance) -> CandidateSets:
+    def from_keys(cls, family: StructureFamily, keys: np.ndarray, m: int) -> CandidateSets:
         """From sorted, distinct sample-major keys ``sample * size + index``."""
         smp, indices = np.divmod(keys, space(family).size)
-        return cls(family, smp.searchsorted(np.arange(m + 1)), indices, provenance)
+        return cls(family, smp.searchsorted(np.arange(m + 1)), indices)
 
     @property
     def indices(self) -> np.ndarray:
@@ -136,20 +115,20 @@ class CandidateSets(Sequence):
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    def __getitem__(self, i: int) -> CandidateSet:
+    def __getitem__(self, i: int) -> tuple[StructuredOutput, ...]:
         i = range(len(self))[i]
-        if self.full_space:
-            return full_candidate_set(self.family)
         outputs = space(self.family).outputs
-        chosen = self.indices[self.offsets[i]:self.offsets[i + 1]].tolist()
-        return CandidateSet(tuple(outputs[j] for j in chosen), self.provenance)
+        if self.full_space:
+            return outputs
+        return tuple(outputs[j] for j in self.indices[self.offsets[i]:self.offsets[i + 1]].tolist())
 
 
-def as_candidate_sets(sets: Sequence[CandidateSet], family: StructureFamily,
+def as_candidate_sets(sets: Sequence[Sequence[StructuredOutput]], family: StructureFamily,
                       m: int) -> CandidateSets:
     """The candidate sets of an m-sample dataset as one ``CandidateSets``: it
-    passes through, and ``CandidateSet``s sharing one provenance are indexed
-    into one, or kept as offsets alone when every set is the full space."""
+    passes through, and per-sample sequences of outputs are indexed into one,
+    or kept as offsets alone when every set is the space's own ``outputs``
+    tuple (``full_candidate_set``).  A set that repeats an output is an error."""
     if len(sets) != m:
         raise ValueError(f"expected {m} candidate sets, got {len(sets)}")
     if isinstance(sets, CandidateSets):
@@ -157,15 +136,11 @@ def as_candidate_sets(sets: Sequence[CandidateSet], family: StructureFamily,
             raise ValueError(f"candidate sets of {sets.family} given for {family}")
         return sets
     sp = space(family)
-    provenance = sets[0].provenance
-    if any(cs.provenance is not provenance for cs in sets):
-        raise ValueError("candidate sets of one dataset must share one provenance")
-    if provenance is Provenance.FULL_SPACE and all(
-            len(cs) == sp.size and cs.outputs[0] == sp.outputs[0] for cs in sets):
-        return CandidateSets(family, np.arange(m + 1) * sp.size, None, provenance)
-    keys = np.fromiter((i * sp.size + sp.index(y) for i, cs in enumerate(sets)
-                        for y in cs.outputs), dtype=np.int64)
-    return CandidateSets.from_keys(family, np.sort(keys), m, provenance)
+    if all(cs is sp.outputs for cs in sets):
+        return CandidateSets(family, np.arange(m + 1) * sp.size, None)
+    keys = np.fromiter((i * sp.size + sp.index(y) for i, cs in enumerate(sets) for y in cs),
+                       dtype=np.int64)
+    return CandidateSets.from_keys(family, _distinct(keys), m)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +179,7 @@ def map_decode(family: StructureFamily, x, w) -> StructuredOutput:
 
 
 def perturbed_decode(family: StructureFamily, x, w, gamma,
-                     support: CandidateSet | None = None) -> StructuredOutput:
+                     support: Sequence[StructuredOutput] | None = None) -> StructuredOutput:
     """Argmax of score + gamma over the support (the full space by default).
 
     ``gamma`` is indexed by the enumeration order of the support: canonical
@@ -216,16 +191,20 @@ def perturbed_decode(family: StructureFamily, x, w, gamma,
     s = _support_scores(family, x, as_weights(w), support)
     if gamma.shape != s.shape:
         raise ValueError(f"gamma has shape {gamma.shape}, expected {s.shape}")
-    outputs = space(family).outputs if support is None else support.outputs
+    outputs = space(family).outputs if support is None else support
     return outputs[int(np.argmax(s + gamma))]
 
 
-def _support_scores(family: StructureFamily, x, w, support: CandidateSet | None) -> np.ndarray:
-    """Scores of the support's outputs in stored order; of all outputs for None."""
+def _support_scores(family: StructureFamily, x, w,
+                    support: Sequence[StructuredOutput] | None) -> np.ndarray:
+    """Scores of the support's outputs in stored order; of all outputs for
+    None or the space's own ``outputs`` tuple.  A repeated output is an error."""
     sp = space(family)
-    if support is None or (support.provenance is Provenance.FULL_SPACE and len(support) == sp.size):
+    if support is None or support is sp.outputs:
         return sp.scores(x, w)
-    return sp.incidence[[sp.index(y) for y in support.outputs]] @ (input_bits(family, x) * w)
+    idx = np.array([sp.index(y) for y in support], dtype=np.int64)
+    _distinct(idx)
+    return sp.incidence[idx] @ (input_bits(family, x) * w)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +215,7 @@ def _support_scores(family: StructureFamily, x, w, support: CandidateSet | None)
 class CrfDistribution:
     """Normalized pmf of the perturbed decoder over a support at scale beta."""
 
-    support: CandidateSet
+    support: tuple[StructuredOutput, ...]
     probs: np.ndarray
     log_partition: float
     beta: float
@@ -248,10 +227,11 @@ class CrfDistribution:
             raise ValueError("probs must be a distribution (nonnegative, summing to 1)")
 
     def prob_of(self, y: StructuredOutput) -> float:
-        return float(self.probs[self.support.outputs.index(y)])
+        return float(self.probs[self.support.index(y)])
 
 
-def crf_pmf(family: StructureFamily, x, w, support: CandidateSet, beta: float) -> CrfDistribution:
+def crf_pmf(family: StructureFamily, x, w, support: Sequence[StructuredOutput],
+            beta: float) -> CrfDistribution:
     """Softmax of scores/beta over the support, with a log-domain partition.
 
     Weights are rescaled by beta before scoring, so the distribution at
@@ -265,7 +245,7 @@ def crf_pmf(family: StructureFamily, x, w, support: CandidateSet, beta: float) -
     shift = scores.max()
     e = np.exp(scores - shift)
     z = e.sum()
-    return CrfDistribution(support, e / z, float(shift + np.log(z)), beta)
+    return CrfDistribution(tuple(support), e / z, float(shift + np.log(z)), beta)
 
 
 def pmf_matrix(sp, bit_matrix: np.ndarray, w, beta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -81,6 +81,12 @@ def generate_dataset(family: StructureFamily, w_star, m: int, seed) -> Dataset:
 # experiment configuration and records
 
 
+#: Config keys that take integers, and keys that take real numbers (``from_dict``).
+_CONFIG_INTS = ("m_train", "m_test", "repetitions", "iterations", "n_target", "neighborhood_k",
+                "master_seed")
+_CONFIG_REALS = ("l1_lambda", "step0", "beta")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     family: StructureFamily
@@ -110,7 +116,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Config from parsed JSON: ``family`` is a label such as 'set:4,15',
-        ``methods`` a list of method names; a ValueError names unknown keys."""
+        ``methods`` a list of method names, the counts and the seed integers,
+        ``l1_lambda``, ``step0`` and ``beta`` real numbers, and a key whose
+        default is None may be null.  A ValueError names an unknown key or
+        the key of a value of the wrong type."""
         if not isinstance(d, dict):
             raise ValueError("config must be a JSON object")
         unknown = sorted(set(d) - set(cls.__dataclass_fields__))
@@ -118,6 +127,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "family" not in d:
             raise ValueError("config lacks the key 'family'")
+        for key, value in d.items():
+            if value is None and cls.__dataclass_fields__[key].default is None:
+                continue
+            if key in _CONFIG_INTS and type(value) is not int:
+                raise ValueError(f"config key '{key}' must be an integer, got {value!r}")
+            if key in _CONFIG_REALS and type(value) not in (int, float):
+                raise ValueError(f"config key '{key}' must be a real number, got {value!r}")
+        if not isinstance(d["family"], str):
+            raise ValueError(f"config key 'family' must be a family label, got {d['family']!r}")
+        names = [m.value for m in Method]
+        methods = d.get("methods", [])
+        if not (isinstance(methods, list) and all(m in names for m in methods)):
+            raise ValueError(f"config key 'methods' must be a list of method names among "
+                             f"{', '.join(names)}, got {methods!r}")
         d = dict(d)
         d["family"] = parse_family(d["family"])
         if "methods" in d:
@@ -192,7 +215,6 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord
             w_hat, trace = _train_method(method, S_train, cfg,
                                          stream_seed(cfg.master_seed, repetition, "proposal", method))
             seconds = time.perf_counter() - tic
-            randomized = trace.final_candidate_sets is not None
             if method is Method.CRF_ALL:
                 train_loss = exact_crf_loss(w_hat, S_train, beta).value
                 train_loss_exact = train_loss
@@ -220,12 +242,12 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord
                 test_crf_loss=exact_crf_loss(w_hat, S_test, beta).value,
                 test_hamming=hamming_loss(w_hat, S_test).value,
                 train_seconds=seconds,
-                set_size_mean=final.set_size_mean if randomized else float(sp.size),
-                set_size_max=final.set_size_max if randomized else sp.size,
+                set_size_mean=final.set_size_mean,
+                set_size_max=final.set_size_max,
                 weight_support=w_hat.support_size,
                 weight_l1=w_hat.l1_norm,
                 beta=beta,
-                train_loss_support="final_sets" if randomized else "full",
+                train_loss_support="full" if trace.final_candidate_sets is None else "final_sets",
             ))
         except Exception:
             log.exception("repetition %d method %s failed; continuing", repetition, method.value)
@@ -308,7 +330,10 @@ def parse_family(label: str) -> StructureFamily:
             return _FAMILY_DEFAULTS[name]
         except KeyError:
             raise ValueError(f"unknown family '{label}'") from None
-    parts = [int(p) for p in args.split(",")]
+    try:
+        parts = [int(p) for p in args.split(",")]
+    except ValueError:
+        raise ValueError(f"unknown family '{label}'") from None
     if name == "tree" and len(parts) == 1:
         return SpanningTreeFamily(parts[0])
     if name == "dag" and len(parts) == 2:

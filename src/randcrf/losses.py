@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import (CandidateSet, _pad_features, _segment_pmfs, as_candidate_sets,
-                         as_weights, gumbel_from_uniform, pmf_matrix)
-from .spaces import StructureFamily, StructuredInput, StructuredOutput, space
+from .gumbel_crf import (_pad_features, _segment_pmfs, as_candidate_sets, as_weights,
+                         gumbel_from_uniform, pmf_matrix)
+from .spaces import StructureFamily, StructuredOutput, space
 
 
 class LossKind(Enum):
@@ -67,10 +67,6 @@ class Dataset:
     def m(self) -> int:
         return len(self.outputs)
 
-    def samples(self) -> Iterator[tuple[StructuredInput, StructuredOutput]]:
-        for i, y in enumerate(self.outputs):
-            yield StructuredInput(self.inputs[i]), y
-
 
 def _bit_matrix(S: Dataset) -> np.ndarray:
     return np.asarray(S.inputs, dtype=np.float64)
@@ -94,7 +90,8 @@ def exact_crf_loss(w, S: Dataset, beta: float) -> LossReport:
     return _report(1.0 - probs[y_idx, np.arange(S.m)], LossKind.EXACT_CRF)
 
 
-def randomized_loss(w, S: Dataset, Tbar: Sequence[CandidateSet], beta: float) -> LossReport:
+def randomized_loss(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
+                    beta: float) -> LossReport:
     """Mean probability of missing the observed output when the decoder is
     restricted to the per-sample candidate sets; each set must contain it."""
     sets = as_candidate_sets(Tbar, S.family, S.m)
@@ -108,7 +105,7 @@ def randomized_loss(w, S: Dataset, Tbar: Sequence[CandidateSet], beta: float) ->
     return _report(1.0 - p[y_flat], LossKind.RANDOMIZED_AUGMENTED)
 
 
-def loss_gap(w, S: Dataset, Tbar: Sequence[CandidateSet], beta: float) -> float:
+def loss_gap(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]], beta: float) -> float:
     """Closed-form difference randomized_loss - exact_crf_loss: minus the mean
     of (restricted probability of the observed output) times (full-space mass
     outside the candidate set).  Always <= 0."""

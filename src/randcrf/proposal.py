@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import (CandidateSet, CandidateSets, Provenance, _feature_positions,
-                         _pad_features, _sum_at, as_candidate_sets, as_weights)
+from .gumbel_crf import (CandidateSets, _feature_positions, _pad_features, _sum_at,
+                         as_candidate_sets, as_weights)
 from .losses import Dataset, _true_indices
 from .spaces import EnumeratedSpace, StructureFamily, StructuredOutput, input_bits, space
 
@@ -123,7 +123,7 @@ def _augment_keys(sp: EnumeratedSpace, keys: np.ndarray, y_idx: np.ndarray) -> C
     each joined with its sample's observed output ``y_idx[i]``."""
     m = y_idx.size
     merged = _unique_keys(np.concatenate([keys, np.arange(m) * sp.size + y_idx]))
-    return CandidateSets.from_keys(sp.family, merged, m, Provenance.SAMPLED_AUGMENTED)
+    return CandidateSets.from_keys(sp.family, merged, m)
 
 
 def warm_proposal_tables(family: StructureFamily, k: int) -> None:
@@ -191,10 +191,10 @@ def build_candidate_sets(family: StructureFamily, S: Dataset, w,
     xw_pad = _pad_features(np.asarray(S.inputs, dtype=np.float64) * as_weights(w))
     keys = _unique_keys(_batch_end_keys(sp, xw_pad, _true_indices(S), cfg.alpha, cfg.k,
                                         cfg.n_target, rng))
-    return CandidateSets.from_keys(family, keys, S.m, Provenance.SAMPLED)
+    return CandidateSets.from_keys(family, keys, S.m)
 
 
-def augment(T: Sequence[CandidateSet], S: Dataset) -> CandidateSets:
+def augment(T: Sequence[Sequence[StructuredOutput]], S: Dataset) -> CandidateSets:
     """Force each candidate set to contain its sample's observed structure."""
     sp = space(S.family)
     sets = as_candidate_sets(T, S.family, S.m)
@@ -202,7 +202,7 @@ def augment(T: Sequence[CandidateSet], S: Dataset) -> CandidateSets:
 
 
 def proposal_quality_frequency(family: StructureFamily, S: Dataset, w,
-                               T: Sequence[CandidateSet], c: float = 0.0) -> float:
+                               T: Sequence[Sequence[StructuredOutput]], c: float = 0.0) -> float:
     """Diagnostic: fraction of samples whose candidate set behaves well under w.
 
     A sample passes if either its observed structure is the unique score

@@ -376,34 +376,23 @@ class StructuredOutput:
         return self.components
 
 
-@dataclass(frozen=True, eq=False)
-class StructuredInput:
-    """Observed 0/1 vector over the family's candidate-pair coordinates."""
-
-    bits: np.ndarray
-
-
-def make_input(family: StructureFamily, bits) -> StructuredInput:
+def make_input(family: StructureFamily, bits) -> np.ndarray:
+    """An observed input: a uint8 0/1 vector over the family's candidate-pair
+    coordinates."""
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.shape != (family.feature_dim,):
         raise ValueError(f"expected {family.feature_dim} bits, got shape {arr.shape}")
     if not np.isin(arr, (0, 1)).all():
         raise ValueError("input bits must be 0/1")
-    return StructuredInput(arr)
-
-
-def input_bits(family: StructureFamily, x) -> np.ndarray:
-    """Coerce a StructuredInput or raw 0/1 vector to a float array of length d."""
-    arr = x.bits if isinstance(x, StructuredInput) else np.asarray(x)
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.shape != (family.feature_dim,):
-        raise ValueError(f"expected {family.feature_dim} bits, got shape {arr.shape}")
     return arr
 
 
-def random_input(family: StructureFamily, rng: np.random.Generator) -> StructuredInput:
-    """Bits drawn iid Bernoulli(1/2)."""
-    return StructuredInput(rng.integers(0, 2, size=family.feature_dim, dtype=np.uint8))
+def input_bits(family: StructureFamily, x) -> np.ndarray:
+    """Coerce a 0/1 vector to a float array of length d."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.shape != (family.feature_dim,):
+        raise ValueError(f"expected {family.feature_dim} bits, got shape {arr.shape}")
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import (CandidateSet, CandidateSets, WeightVector, _feature_positions,
-                         _pad_features, _segment_pmfs, _sum_at, as_candidate_sets, as_weights,
-                         pmf_matrix)
+from .gumbel_crf import (CandidateSets, WeightVector, _feature_positions, _pad_features,
+                         _segment_pmfs, _sum_at, as_candidate_sets, as_weights, pmf_matrix)
 from .losses import Dataset, LossKind, LossReport, _bit_matrix, _true_indices
 from .proposal import ProposalConfig, _augment_keys, _batch_end_keys, alpha_schedule
-from .spaces import space
+from .spaces import StructuredOutput, space
 
 
 class Method(Enum):
@@ -133,27 +132,29 @@ def _gain_terms_full(sp, X, y_idx, w, beta):
     return q, observed - expected
 
 
-def log_gain(w, S: Dataset, Tbar: Sequence[CandidateSet], beta: float) -> float:
+def log_gain(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]], beta: float) -> float:
     """log of the mean restricted probability of recovering the observed outputs."""
     q, _ = _gain_terms(w, S, Tbar, beta)
     return float(np.log(q.mean()))
 
 
-def log_gain_gradient(w, S: Dataset, Tbar: Sequence[CandidateSet], beta: float) -> np.ndarray:
+def log_gain_gradient(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
+                      beta: float) -> np.ndarray:
     """Gradient of ``log_gain`` in w for fixed candidate sets and fixed beta:
     the q-weighted moment-matching direction scaled by 1/beta."""
     q, diff = _gain_terms(w, S, Tbar, beta)
     return (q @ diff) / (beta * q.sum())
 
 
-def log_likelihood(w, S: Dataset, Tbar: Sequence[CandidateSet], beta: float) -> float:
+def log_likelihood(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
+                   beta: float) -> float:
     """Mean log restricted probability of the observed outputs (the training
     objective of the CRF methods; it lower-bounds ``log_gain``)."""
     q, _ = _gain_terms(w, S, Tbar, beta)
     return float(np.log(q).mean())
 
 
-def log_likelihood_gradient(w, S: Dataset, Tbar: Sequence[CandidateSet],
+def log_likelihood_gradient(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
                             beta: float) -> np.ndarray:
     """Gradient of ``log_likelihood``: the standard moment-matching direction
     (mean observed-minus-expected feature difference) scaled by 1/beta."""
@@ -206,7 +207,7 @@ def _hinge_terms_segments(sp, X, sets: CandidateSets, y_idx, xw_pad):
     return margins, grad
 
 
-def hinge_loss(w, S: Dataset, candidates: Sequence[CandidateSet]) -> LossReport:
+def hinge_loss(w, S: Dataset, candidates: Sequence[Sequence[StructuredOutput]]) -> LossReport:
     """Margin-rescaled structured hinge over the given per-sample candidates:
     mean of max_y(score(y) + hamming(y, y_i)) - score(y_i)."""
     sp = space(S.family)

@@ -186,7 +186,7 @@ def neighbor_csr_reference(masks, k):
 
 
 def _restricted_observed_prob(sp, x, w_eff, cs, y):
-    idx = np.array([sp.index(o) for o in cs.outputs])
+    idx = np.array([sp.index(o) for o in cs])
     pos = np.nonzero(idx == sp.index(y))[0]
     if pos.size == 0:
         raise ValueError("candidate set does not contain the observed output")
@@ -224,6 +224,6 @@ def augment_reference(sets, S):
     missing, by a sorted merge."""
     out = []
     for cs, y in zip(sets, S.outputs):
-        comps = [o.components for o in cs.outputs]
+        comps = [o.components for o in cs]
         out.append(comps if y.components in comps else sorted(comps + [y.components]))
     return out

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randcrf import (CandidateSet, DagFamily, ExperimentConfig, Method, Provenance,
-                     SpanningTreeFamily, SubsetFamily, approximation_error, crf_pmf,
-                     enumerate_outputs, exact_crf_loss, full_candidate_set,
-                     generalization_bound, gumbel_from_uniform, log_gain, log_gain_gradient,
-                     loss_gap, propose, randomized_loss, run_experiment, space,
-                     statistical_error, summarize)
+from randcrf import (DagFamily, ExperimentConfig, Method, SpanningTreeFamily, SubsetFamily,
+                     approximation_error, crf_pmf, enumerate_outputs, exact_crf_loss,
+                     full_candidate_set, generalization_bound, gumbel_from_uniform, log_gain,
+                     log_gain_gradient, loss_gap, propose, randomized_loss, run_experiment,
+                     space, statistical_error, summarize)
 from randcrf import cli
 from randcrf.losses import Dataset
 from randcrf.proposal import ProposalConfig
@@ -41,8 +40,7 @@ def random_augmented_sets(S, rng, max_extra=5):
     for y in S.outputs:
         extras = rng.choice(sp.size, size=int(rng.integers(0, max_extra + 1)), replace=False)
         idx = sorted({int(e) for e in extras} | {sp.index(y)})
-        sets.append(CandidateSet(tuple(sp.outputs[i] for i in idx),
-                                 Provenance.SAMPLED_AUGMENTED))
+        sets.append(tuple(sp.outputs[i] for i in idx))
     return sets
 
 
@@ -336,10 +334,9 @@ def test_criterion_8_support_monotonicity():
         small = random_augmented_sets(S, rng, max_extra=3)
         big = []
         for cs, y in zip(small, S.outputs):
-            idx = {sp.index(o) for o in cs.outputs}
+            idx = {sp.index(o) for o in cs}
             idx |= {int(e) for e in rng.choice(sp.size, size=4, replace=False)}
-            big.append(CandidateSet(tuple(sp.outputs[i] for i in sorted(idx)),
-                                    Provenance.SAMPLED_AUGMENTED))
+            big.append(tuple(sp.outputs[i] for i in sorted(idx)))
         lo = randomized_loss(w, S, small, beta).per_sample
         hi = randomized_loss(w, S, big, beta).per_sample
         violations += int((lo > hi + 1e-12).sum())

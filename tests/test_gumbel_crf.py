@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randcrf import (CandidateSet, CandidateSets, PerturbationConfig, Provenance,
-                     SpanningTreeFamily, SubsetFamily, WeightVector, as_candidate_sets, crf_pmf,
-                     enumerate_outputs,
+from randcrf import (CandidateSets, PerturbationConfig, SpanningTreeFamily, SubsetFamily,
+                     WeightVector, as_candidate_sets, crf_pmf, enumerate_outputs,
                      full_candidate_set, gumbel_from_uniform, map_decode, perturbed_decode,
                      sample_gumbel, space)
 from randcrf.gumbel_crf import pmf_matrix
@@ -109,7 +108,7 @@ def test_perturbed_decode_checks_gamma_length():
 
 def test_perturbed_decode_restricted_support():
     outs = enumerate_outputs(SET23)
-    sub = CandidateSet((outs[0], outs[2]), Provenance.SAMPLED)
+    sub = (outs[0], outs[2])
     gamma = np.array([0.0, 1e9])
     got = perturbed_decode(SET23, scores_are_weights_setup(), np.zeros(3), gamma, support=sub)
     assert got == outs[2]
@@ -121,7 +120,7 @@ def test_perturbed_decode_restricted_support():
 
 def test_equal_scores_give_half_half():
     outs = enumerate_outputs(SET23)
-    sub = CandidateSet((outs[0], outs[1]), Provenance.SAMPLED)
+    sub = (outs[0], outs[1])
     for beta in (0.2, 1.0, 7.0):
         dist = crf_pmf(SET23, scores_are_weights_setup(), np.zeros(3), sub, beta)
         np.testing.assert_allclose(dist.probs, [0.5, 0.5])
@@ -129,7 +128,7 @@ def test_equal_scores_give_half_half():
 
 def test_unit_score_gap_closed_form():
     outs = enumerate_outputs(SET23)
-    sub = CandidateSet((outs[0], outs[1]), Provenance.SAMPLED)
+    sub = (outs[0], outs[1])
     w = np.array([1.0, 0.0, 0.0])  # scores (1, 0) for the two supported outputs
     dist = crf_pmf(SET23, scores_are_weights_setup(), w, sub, 1.0)
     np.testing.assert_allclose(dist.probs, [math.e / (1 + math.e), 1 / (1 + math.e)],
@@ -160,10 +159,12 @@ def test_restricted_pmf_on_full_support_matches_unrestricted():
     rng = np.random.default_rng(8)
     X, _, w = random_instance(fam, rng, m=1)
     full = full_candidate_set(fam)
-    as_sampled = CandidateSet(full.outputs, Provenance.SAMPLED)
+    # equal outputs, but not the space's own tuple: the segment route
+    as_sampled = list(full)
     a = crf_pmf(fam, X[0], w, full, 0.5)
     b = crf_pmf(fam, X[0], w, as_sampled, 0.5)
     np.testing.assert_allclose(a.probs, b.probs, atol=1e-15)
+    assert a.support == b.support == full
 
 
 def test_additive_score_shift_cancels():
@@ -217,30 +218,31 @@ def test_weight_vector_metadata():
 
 
 def test_candidate_set_rejects_duplicates():
-    y = enumerate_outputs(SET23)[0]
-    with pytest.raises(ValueError):
-        CandidateSet((y, y), Provenance.SAMPLED)
-
-
-def test_candidate_set_membership():
-    outs = enumerate_outputs(SET23)
-    cs = CandidateSet((outs[0], outs[2]), Provenance.SAMPLED)
-    assert outs[0] in cs and outs[1] not in cs and len(cs) == 2
+    fam = SubsetFamily(3, 6)
+    outs = space(fam).outputs
+    x, w = np.ones(fam.feature_dim), np.zeros(fam.feature_dim)
+    twice = (outs[4], outs[1], outs[4])
+    with pytest.raises(ValueError, match="duplicate"):
+        as_candidate_sets([(outs[0],), twice], fam, 2)
+    with pytest.raises(ValueError, match="duplicate"):
+        crf_pmf(fam, x, w, twice, 1.0)
+    with pytest.raises(ValueError, match="duplicate"):
+        perturbed_decode(fam, x, w, np.zeros(3), support=twice)
+    # the same outputs in other samples are no repeat
+    assert as_candidate_sets([(outs[4],), (outs[1], outs[4])], fam, 2).indices.tolist() == [4, 1, 4]
 
 
 def test_candidate_sets_store_indices_and_give_per_sample_views():
     fam = SubsetFamily(3, 6)
     outs = space(fam).outputs
-    lists = [CandidateSet((outs[7], outs[2]), Provenance.SAMPLED),
-             CandidateSet((), Provenance.SAMPLED), CandidateSet((outs[5],), Provenance.SAMPLED)]
+    lists = [(outs[7], outs[2]), (), [outs[5]]]
     sets = as_candidate_sets(lists, fam, 3)
     assert isinstance(sets, CandidateSets) and not sets.full_space
     assert sets.offsets.tolist() == [0, 2, 2, 3] and sets.indices.tolist() == [2, 7, 5]
     assert sets.samples.tolist() == [0, 0, 2] and sets.counts.tolist() == [2, 0, 1]
     assert len(sets) == 3 and len(sets[0]) == 2 and len(sets[-2]) == 0
-    assert sets[0].outputs == (outs[2], outs[7]) and outs[7] in sets[0]
-    assert [cs.outputs for cs in sets][1:] == [(), (outs[5],)]
-    assert all(cs.provenance is Provenance.SAMPLED for cs in sets)
+    assert sets[0] == (outs[2], outs[7]) and outs[7] in sets[0]
+    assert list(sets)[1:] == [(), (outs[5],)]
     assert as_candidate_sets(sets, fam, 3) is sets
     with pytest.raises(IndexError):
         sets[3]
@@ -249,26 +251,26 @@ def test_candidate_sets_store_indices_and_give_per_sample_views():
             as_candidate_sets(bad, fam, 3)
     with pytest.raises(ValueError):
         as_candidate_sets(sets, SubsetFamily(3, 7), 3)
-    with pytest.raises(ValueError, match="provenance"):
-        as_candidate_sets(lists[:2] + [CandidateSet((outs[5],), Provenance.SAMPLED_AUGMENTED)],
-                          fam, 3)
 
 
 def test_full_space_candidate_sets_keep_offsets_only():
     fam = SubsetFamily(3, 6)
-    sets = as_candidate_sets([full_candidate_set(fam)] * 4, fam, 4)
+    full = full_candidate_set(fam)
+    assert full is space(fam).outputs and len(full) == 20
+    sets = as_candidate_sets([full] * 4, fam, 4)
     assert sets.full_space and sets._indices is None
-    assert sets.provenance is Provenance.FULL_SPACE
     assert sets.counts.tolist() == [20] * 4
     assert sets.indices.tolist() == list(range(20)) * 4
-    assert all(cs is full_candidate_set(fam) for cs in sets)
-    sampled = CandidateSet(space(fam).outputs, Provenance.SAMPLED)
-    relabeled = as_candidate_sets([sampled] * 4, fam, 4)
-    assert not relabeled.full_space
-    np.testing.assert_array_equal(relabeled.indices, sets.indices)
+    assert all(cs is full for cs in sets)
+    # the same outputs, but not the space's own tuple, list every index
+    for same in ([list(full)] * 4,
+                 CandidateSets.from_keys(fam, np.arange(4 * 20), 4)):
+        listed = as_candidate_sets(same, fam, 4)
+        assert not listed.full_space
+        np.testing.assert_array_equal(listed.indices, sets.indices)
+        np.testing.assert_array_equal(listed.offsets, sets.offsets)
 
 
 def test_crf_pmf_requires_nonempty_support():
     with pytest.raises(ValueError):
-        crf_pmf(SET23, scores_are_weights_setup(), np.zeros(3),
-                CandidateSet((), Provenance.SAMPLED), 1.0)
+        crf_pmf(SET23, scores_are_weights_setup(), np.zeros(3), (), 1.0)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -176,6 +177,9 @@ def test_family_labels_round_trip():
     assert parse_family("set") == SubsetFamily(4, 15)
     with pytest.raises(ValueError):
         parse_family("ring:4")
+    for label in ("set:a", "dag:5,", "tree:6.5"):
+        with pytest.raises(ValueError, match=f"^unknown family '{label}'$"):
+            parse_family(label)
 
 
 def test_dataset_round_trip(tmp_path):
@@ -301,15 +305,31 @@ def test_experiment_config_round_trip():
                                    master_seed=11)
     assert ExperimentConfig.from_dict({"family": "tree"}) == \
         ExperimentConfig(family=SpanningTreeFamily(6))
+    # integers count as real numbers, and null keeps a default of None
+    assert ExperimentConfig.from_dict({"family": "tree", "l1_lambda": 0, "beta": None,
+                                       "n_target": None}) == \
+        ExperimentConfig(family=SpanningTreeFamily(6), l1_lambda=0)
 
 
 @pytest.mark.parametrize("config,message", [
     ({"family": "set:3,6", "bogus": 1, "alpha": 2}, "unknown config keys: alpha, bogus"),
     ({"m_train": 10}, "config lacks the key 'family'"),
     (["set:3,6"], "config must be a JSON object"),
+    ({"family": "set:3,6", "methods": 5}, "config key 'methods' must be a list of method names "
+     "among crf_all, crf_rand, svm_all, svm_rand, got 5"),
+    ({"family": "set:3,6", "methods": ["crf_all", "svm"]}, "config key 'methods' must be a list "
+     "of method names among crf_all, crf_rand, svm_all, svm_rand, got ['crf_all', 'svm']"),
+    ({"family": "set:3,6", "m_train": "abc"}, "config key 'm_train' must be an integer, got 'abc'"),
+    ({"family": "set:3,6", "master_seed": 1.5}, "config key 'master_seed' must be an integer, "
+     "got 1.5"),
+    ({"family": "set:3,6", "iterations": True}, "config key 'iterations' must be an integer, "
+     "got True"),
+    ({"family": "set:3,6", "l1_lambda": "0.1"}, "config key 'l1_lambda' must be a real number, "
+     "got '0.1'"),
+    ({"family": 5}, "config key 'family' must be a family label, got 5"),
 ])
 def test_cli_train_rejects_bad_config_files(tmp_path, capsys, config, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ExperimentConfig.from_dict(config)
     path, data = tmp_path / "cfg.json", tmp_path / "d.jsonl"
     path.write_text(json.dumps(config))
@@ -371,6 +391,9 @@ def test_cli_bounds_table(tmp_path, capsys):
     with open(out) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 3
+    # a mistyped key ('l' for 'l1') is named, not ignored
+    assert cli.main(["bounds", "--grid", "d=105;s=11;m=100;n=10;r=1365;delta=0.05;l=7"]) == 2
+    assert capsys.readouterr() == ("", "randcrf: unknown grid keys: l\n")
 
 
 def strip_timing(path):

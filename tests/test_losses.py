@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from randcrf import (CandidateSet, DagFamily, Dataset, LossKind, ProposalConfig, Provenance,
+from randcrf import (CandidateSets, DagFamily, Dataset, LossKind, ProposalConfig,
                      SpanningTreeFamily, SubsetFamily, augment, build_candidate_sets,
                      enumerate_outputs, exact_crf_loss, full_candidate_set, hamming_loss,
                      loss_gap, monte_carlo_loss, randomized_loss, space)
@@ -25,8 +25,7 @@ def random_augmented_sets(S, rng, max_extra=4):
     for y in S.outputs:
         extras = rng.choice(sp.size, size=rng.integers(0, max_extra + 1), replace=False)
         idx = sorted(set(int(e) for e in extras) | {sp.index(y)})
-        sets.append(CandidateSet(tuple(sp.outputs[i] for i in idx),
-                                 Provenance.SAMPLED_AUGMENTED))
+        sets.append(tuple(sp.outputs[i] for i in idx))
     return sets
 
 
@@ -80,7 +79,7 @@ def test_dataset_rejects_invalid_structures():
 def test_randomized_loss_singleton_support_is_zero():
     rng = np.random.default_rng(5)
     S, w = make_dataset(SET36, rng)
-    sets = [CandidateSet((y,), Provenance.SAMPLED_AUGMENTED) for y in S.outputs]
+    sets = [(y,) for y in S.outputs]
     rep = randomized_loss(w, S, sets, 1.0)
     np.testing.assert_allclose(rep.per_sample, 0.0)
     assert rep.kind is LossKind.RANDOMIZED_AUGMENTED
@@ -111,8 +110,8 @@ def test_randomized_loss_requires_observed_output():
     S, w = make_dataset(SET36, rng, m=2)
     sp = space(SET36)
     other = sp.outputs[(sp.index(S.outputs[0]) + 1) % sp.size]
-    sets = [CandidateSet((other,), Provenance.SAMPLED_AUGMENTED),
-            CandidateSet((S.outputs[1],), Provenance.SAMPLED_AUGMENTED)]
+    sets = [(other,),
+            (S.outputs[1],)]
     with pytest.raises(ValueError):
         randomized_loss(w, S, sets, 1.0)
 
@@ -130,7 +129,7 @@ def test_gap_is_zero_on_full_support():
 def test_gap_singleton_uniform_closed_form():
     rng = np.random.default_rng(10)
     S, _ = make_dataset(SET36, rng, m=3)
-    sets = [CandidateSet((y,), Provenance.SAMPLED_AUGMENTED) for y in S.outputs]
+    sets = [(y,) for y in S.outputs]
     r = space(SET36).size
     got = loss_gap(np.zeros(SET36.feature_dim), S, sets, 1.0)
     assert got == pytest.approx(-(r - 1) / r)
@@ -156,10 +155,9 @@ def test_monotone_in_support():
         small = random_augmented_sets(S, rng, max_extra=3)
         big = []
         for cs, y in zip(small, S.outputs):
-            idx = {sp.index(o) for o in cs.outputs}
+            idx = {sp.index(o) for o in cs}
             idx |= {int(e) for e in rng.choice(sp.size, size=3, replace=False)}
-            big.append(CandidateSet(tuple(sp.outputs[i] for i in sorted(idx)),
-                                    Provenance.SAMPLED_AUGMENTED))
+            big.append(tuple(sp.outputs[i] for i in sorted(idx)))
         lo = randomized_loss(w, S, small, 1.0).per_sample
         hi = randomized_loss(w, S, big, 1.0).per_sample
         assert (lo <= hi + 1e-12).all()
@@ -171,7 +169,7 @@ def test_outputs_of_another_family_are_rejected():
     y = StructuredOutput(fam, (2, 3))
     foreign = StructuredOutput(other, (0, 1))
     S = Dataset(fam, np.ones((1, fam.feature_dim), dtype=np.uint8), (y,))
-    sets = [CandidateSet((foreign, y), Provenance.SAMPLED_AUGMENTED)]
+    sets = [(foreign, y)]
     assert y in sets[0] and StructuredOutput(fam, (0, 1)) not in sets[0]
     with pytest.raises(ValueError, match="not of SubsetFamily"):
         augment(sets, S)
@@ -187,27 +185,28 @@ def test_outputs_of_another_family_are_rejected():
 
 def _raw_and_augmented_sets(S, w, rng):
     """Candidate sets before augmentation (random singletons, mixed sizes
-    with and without the observed output, the full space relabelled
-    sampled, proposal draws at alpha = 1) and sets that already hold every
-    observed output (singletons of it, mixed sizes, the full space relabelled
-    augmented)."""
+    with and without the observed output, the full space listed output by
+    output, proposal draws at alpha = 1) and sets that already hold every
+    observed output (singletons of it, mixed sizes, the full space with every
+    index listed, and the full space itself)."""
     sp = space(S.family)
-    full = full_candidate_set(S.family).outputs
+    full = full_candidate_set(S.family)
 
     def pick(n):
         return tuple(sp.outputs[i] for i in sorted(rng.choice(sp.size, n, replace=False)))
 
     raw = [
-        [CandidateSet(pick(1), Provenance.SAMPLED) for _ in range(S.m)],
-        [CandidateSet(pick(int(rng.integers(0, 7))), Provenance.SAMPLED) for _ in range(S.m)],
-        [CandidateSet(full, Provenance.SAMPLED)] * S.m,
+        [pick(1) for _ in range(S.m)],
+        [pick(int(rng.integers(0, 7))) for _ in range(S.m)],
+        [list(full)] * S.m,
         build_candidate_sets(S.family, S, w, ProposalConfig(alpha=1.0, k=2, n_target=4),
                              np.random.default_rng(int(rng.integers(1 << 30)))),
     ]
     augmented = [
-        [CandidateSet((y,), Provenance.SAMPLED_AUGMENTED) for y in S.outputs],
+        [(y,) for y in S.outputs],
         random_augmented_sets(S, rng, max_extra=6),
-        [CandidateSet(full, Provenance.SAMPLED_AUGMENTED)] * S.m,
+        CandidateSets.from_keys(S.family, np.arange(S.m * sp.size), S.m),
+        [full] * S.m,
     ]
     return raw, augmented
 
@@ -220,8 +219,7 @@ def test_segment_losses_match_per_sample_loops(family):
         raw, augmented = _raw_and_augmented_sets(S, w, rng)
         for sets in raw:
             merged = augment(sets, S)
-            assert merged.provenance is Provenance.SAMPLED_AUGMENTED
-            assert [[o.components for o in cs.outputs] for cs in merged] \
+            assert [[o.components for o in cs] for cs in merged] \
                 == augment_reference(sets, S)
             augmented.append(merged)
         for sets in augmented:

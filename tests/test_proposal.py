@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randcrf import (CandidateSet, Dataset, DagFamily, Provenance, SpanningTreeFamily,
-                     SubsetFamily, alpha_schedule, augment, build_candidate_sets,
-                     enumerate_outputs, neighbors_k, propose, proposal_quality_frequency, space)
+from randcrf import (Dataset, DagFamily, SpanningTreeFamily, SubsetFamily, alpha_schedule,
+                     augment, build_candidate_sets, enumerate_outputs, neighbors_k, propose,
+                     proposal_quality_frequency, space)
 from randcrf.proposal import ProposalConfig
 
 from oracles import propose_reference, random_instance
@@ -114,7 +114,6 @@ def test_single_draw_sets_are_singletons():
                                 ProposalConfig(alpha=1.0, k=2, n_target=1),
                                 np.random.default_rng(5))
     assert all(len(cs) == 1 for cs in sets)
-    assert all(cs.provenance is Provenance.SAMPLED for cs in sets)
 
 
 def test_deterministic_proposals_collapse_after_dedup():
@@ -142,10 +141,10 @@ def assert_build_equals_draws(family, S, w, cfg, draw):
     sets = build_candidate_sets(family, S, w, cfg, np.random.default_rng(42))
 
     gen = np.random.default_rng(42)
-    for i, (x, y) in enumerate(S.samples()):
-        drawn = {draw(family, x.bits, y, w, cfg, gen).components for _ in range(cfg.n_target)}
-        assert {o.components for o in sets[i].outputs} == drawn
-        assert [o.components for o in sets[i].outputs] == sorted(sets[i].outputs[j].components
+    for i, (x, y) in enumerate(zip(S.inputs, S.outputs)):
+        drawn = {draw(family, x, y, w, cfg, gen).components for _ in range(cfg.n_target)}
+        assert {o.components for o in sets[i]} == drawn
+        assert [o.components for o in sets[i]] == sorted(sets[i][j].components
                                                                  for j in range(len(sets[i])))
     return sets
 
@@ -168,7 +167,7 @@ def test_build_equals_sequential_propose_invocations(alpha):
         sets = assert_build_equals_draws(family, S, w, ProposalConfig(alpha=alpha, k=k, n_target=3),
                                          propose_reference)
         if k == 1 and alpha == 0.0:
-            assert [cs.outputs for cs in sets] == [(y,) for y in S.outputs]
+            assert [cs for cs in sets] == [(y,) for y in S.outputs]
 
 
 @pytest.mark.parametrize("family", [SET36, SpanningTreeFamily(5), DagFamily(4, 2)])
@@ -222,8 +221,8 @@ def test_build_is_deterministic():
     cfg = ProposalConfig(alpha=0.5, k=2, n_target=4)
     a = build_candidate_sets(SET36, S, w, cfg, np.random.default_rng(33))
     b = build_candidate_sets(SET36, S, w, cfg, np.random.default_rng(33))
-    assert [[o.components for o in cs.outputs] for cs in a] \
-        == [[o.components for o in cs.outputs] for cs in b]
+    assert [[o.components for o in cs] for cs in a] \
+        == [[o.components for o in cs] for cs in b]
 
 
 def test_every_candidate_is_valid():
@@ -234,7 +233,7 @@ def test_every_candidate_is_valid():
                                     ProposalConfig(alpha=1.0, k=2, n_target=6),
                                     np.random.default_rng(13))
         for cs in sets:
-            for y in cs.outputs:
+            for y in cs:
                 assert family.is_valid(y.components)
 
 
@@ -246,14 +245,13 @@ def test_augment_adds_missing_observed_output():
     rng = np.random.default_rng(14)
     S = make_dataset(SET36, rng, m=3)
     sp = space(SET36)
-    empty = CandidateSet((), Provenance.SAMPLED)
-    keeps = CandidateSet((S.outputs[1],), Provenance.SAMPLED)
+    empty = ()
+    keeps = (S.outputs[1],)
     other = sp.outputs[(sp.index(S.outputs[2]) + 1) % sp.size]
-    sets = augment([empty, keeps, CandidateSet((other,), Provenance.SAMPLED)], S)
-    assert [o.components for o in sets[0].outputs] == [S.outputs[0].components]
+    sets = augment([empty, keeps, (other,)], S)
+    assert [o.components for o in sets[0]] == [S.outputs[0].components]
     assert len(sets[1]) == 1  # union is idempotent
     assert len(sets[2]) == 2
-    assert all(cs.provenance is Provenance.SAMPLED_AUGMENTED for cs in sets)
     for cs, y in zip(sets, S.outputs):
         assert y in cs
 
@@ -318,13 +316,13 @@ def test_candidate_sets_ignore_other_samples_labels():
     b = build_candidate_sets(SET36, S2, w, cfg, np.random.default_rng(77))
     for i in range(5):
         if i != j:
-            assert [o.components for o in a[i].outputs] == [o.components for o in b[i].outputs]
+            assert [o.components for o in a[i]] == [o.components for o in b[i]]
 
 
 def test_quality_frequency_trivial_cases():
     rng = np.random.default_rng(18)
     S = make_dataset(SET36, rng, m=4)
-    singletons = [CandidateSet((y,), Provenance.SAMPLED) for y in S.outputs]
+    singletons = [(y,) for y in S.outputs]
     # zero weights: no observed structure is a strict maximizer, and all scores
     # tie, so the mean-score condition holds for every set
     assert proposal_quality_frequency(SET36, S, np.zeros(SET36.feature_dim), singletons) == 1.0

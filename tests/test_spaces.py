@@ -302,7 +302,7 @@ def test_empty_dag_has_an_empty_feature_column():
 def test_make_input_validates():
     fam = SubsetFamily(2, 4)
     x = make_input(fam, [0, 1, 1, 0, 1, 0])
-    assert x.bits.dtype == np.uint8
+    assert x.dtype == np.uint8 and x.tolist() == [0, 1, 1, 0, 1, 0]
     with pytest.raises(ValueError):
         make_input(fam, [0, 1])
     with pytest.raises(ValueError):

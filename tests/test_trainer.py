@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randcrf import (CandidateSet, Dataset, Method, Provenance, SubsetFamily, TrainConfig,
+from randcrf import (CandidateSets, Dataset, Method, SubsetFamily, TrainConfig,
                      beta_schedule, enumerate_outputs, exact_crf_loss, full_candidate_set,
                      hamming, hinge_loss, log_gain, log_gain_gradient, log_likelihood,
                      log_likelihood_gradient, soft_threshold, space, train_crf, train_svm)
@@ -28,8 +28,7 @@ def random_augmented_sets(S, rng, max_extra=5):
     for y in S.outputs:
         extras = rng.choice(sp.size, size=int(rng.integers(0, max_extra + 1)), replace=False)
         idx = sorted({int(e) for e in extras} | {sp.index(y)})
-        sets.append(CandidateSet(tuple(sp.outputs[i] for i in idx),
-                                 Provenance.SAMPLED_AUGMENTED))
+        sets.append(tuple(sp.outputs[i] for i in idx))
     return sets
 
 
@@ -49,7 +48,7 @@ def finite_difference(fn, w, h=1e-5):
 def test_gradient_zero_for_singleton_supports():
     rng = np.random.default_rng(0)
     S = make_dataset(SET36, rng)
-    sets = [CandidateSet((y,), Provenance.SAMPLED_AUGMENTED) for y in S.outputs]
+    sets = [(y,) for y in S.outputs]
     g = log_gain_gradient(rng.normal(size=SET36.feature_dim), S, sets, 0.7)
     np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
@@ -94,11 +93,12 @@ def test_gradient_full_space_path_agrees_with_segment_path():
     S = make_dataset(SET36, rng, m=4)
     w = rng.normal(size=SET36.feature_dim)
     full = [full_candidate_set(SET36)] * S.m
-    relabeled = [CandidateSet(full_candidate_set(SET36).outputs, Provenance.SAMPLED_AUGMENTED)
-                 for _ in range(S.m)]
-    np.testing.assert_allclose(log_gain_gradient(w, S, full, 0.5),
-                               log_gain_gradient(w, S, relabeled, 0.5), atol=1e-12)
-    assert log_gain(w, S, full, 0.5) == pytest.approx(log_gain(w, S, relabeled, 0.5), abs=1e-12)
+    # the same outputs, not the space's own tuple: the segment route
+    for listed in ([list(full[0])] * S.m,
+                   CandidateSets.from_keys(SET36, np.arange(S.m * space(SET36).size), S.m)):
+        np.testing.assert_allclose(log_gain_gradient(w, S, full, 0.5),
+                                   log_gain_gradient(w, S, listed, 0.5), atol=1e-12)
+        assert log_gain(w, S, full, 0.5) == pytest.approx(log_gain(w, S, listed, 0.5), abs=1e-12)
 
 
 def test_gradient_vanishes_as_beta_shrinks_on_separated_instance():
@@ -119,8 +119,7 @@ def test_gradient_vanishes_as_beta_shrinks_on_separated_instance():
 def test_gradient_rejects_empty_candidate_set():
     rng = np.random.default_rng(4)
     S = make_dataset(SET36, rng, m=2)
-    sets = [CandidateSet((), Provenance.SAMPLED_AUGMENTED),
-            CandidateSet((S.outputs[1],), Provenance.SAMPLED_AUGMENTED)]
+    sets = [(), (S.outputs[1],)]
     with pytest.raises(ValueError):
         log_gain_gradient(np.zeros(SET36.feature_dim), S, sets, 1.0)
 
@@ -177,7 +176,7 @@ def test_hinge_zero_weights_is_mean_max_distortion():
 def test_hinge_singleton_candidates_is_zero():
     rng = np.random.default_rng(6)
     S = make_dataset(SET36, rng, m=3)
-    sets = [CandidateSet((y,), Provenance.SAMPLED_AUGMENTED) for y in S.outputs]
+    sets = [(y,) for y in S.outputs]
     assert hinge_loss(rng.normal(size=SET36.feature_dim), S, sets).value == pytest.approx(0.0)
 
 
@@ -189,10 +188,10 @@ def test_hinge_matches_brute_force_max():
         w = rng.normal(size=SET36.feature_dim)
         got = hinge_loss(w, S, sets)
         want = []
-        for i, (x, y) in enumerate(S.samples()):
-            cands = sets[i].outputs
-            best = max(score_of(SET36, x.bits, z, w) + hamming(z, y) for z in cands)
-            want.append(best - score_of(SET36, x.bits, y, w))
+        for i, (x, y) in enumerate(zip(S.inputs, S.outputs)):
+            cands = sets[i]
+            best = max(score_of(SET36, x, z, w) + hamming(z, y) for z in cands)
+            want.append(best - score_of(SET36, x, y, w))
         np.testing.assert_allclose(got.per_sample, want, atol=1e-12)
         assert (got.per_sample >= -1e-12).all()
 
@@ -255,7 +254,6 @@ def test_trace_length_and_final_sets():
     assert trace.final_candidate_sets is not None
     for cs, y in zip(trace.final_candidate_sets, S.outputs):
         assert y in cs
-        assert cs.provenance is Provenance.SAMPLED_AUGMENTED
     _, trace_full = train_crf(S, TrainConfig(method=Method.CRF_ALL, iterations=3, beta=1.0))
     assert trace_full.final_candidate_sets is None
 
