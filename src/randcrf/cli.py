@@ -113,7 +113,11 @@ def _parse_grid(spec: str) -> dict[str, list]:
         key, _, vals = part.partition("=")
         key = key.strip()
         conv = float if key in ("delta", "l1") else int
-        grid[key] = [conv(v) for v in vals.split(",")]
+        try:
+            grid[key] = [conv(v) for v in vals.split(",")]
+        except ValueError:
+            raise ValueError(f"grid key '{key}' needs {conv.__name__} values, "
+                             f"got '{vals}'") from None
     return grid
 
 

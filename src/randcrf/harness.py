@@ -29,7 +29,7 @@ from .trainer import (Method, TrainConfig, TrainTrace, beta_schedule, hinge_loss
 
 log = logging.getLogger(__name__)
 
-_STREAMS = {"ground_truth": 0, "train_x": 1, "test_x": 2, "proposal": 3, "gumbel": 4}
+_STREAMS = {"ground_truth": 0, "train_x": 1, "test_x": 2, "proposal": 3}
 _METHOD_IDS = {m: i for i, m in enumerate(Method)}
 
 
@@ -103,8 +103,12 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        for name in ("m_train", "m_test", "repetitions", "n_target", "neighborhood_k"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        # l1_lambda, iterations, step0 and beta get TrainConfig's checks
+        TrainConfig(method=Method.CRF_ALL, l1_lambda=self.l1_lambda, iterations=self.iterations,
+                    step0=self.step0, beta=self.beta)
 
     def resolved_n_target(self) -> int:
         return self.n_target if self.n_target is not None else math.ceil(math.sqrt(self.m_train))

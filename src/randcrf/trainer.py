@@ -61,6 +61,8 @@ class TrainConfig:
             raise ValueError("l1_lambda must be >= 0")
         if self.step0 is not None and not self.step0 > 0:
             raise ValueError("step0 must be positive")
+        if self.beta is not None and not self.beta > 0:
+            raise ValueError("beta must be positive")
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,13 @@ def test_experiment_config_round_trip():
     ({"family": "set:3,6", "l1_lambda": "0.1"}, "config key 'l1_lambda' must be a real number, "
      "got '0.1'"),
     ({"family": 5}, "config key 'family' must be a family label, got 5"),
+    ({"family": "set:3,6", "beta": -1}, "beta must be positive"),
+    ({"family": "set:3,6", "m_train": -5}, "m_train must be >= 1"),
+    ({"family": "set:3,6", "m_train": 0}, "m_train must be >= 1"),
+    ({"family": "set:3,6", "m_test": 0}, "m_test must be >= 1"),
+    ({"family": "set:3,6", "iterations": 0}, "iterations must be >= 1"),
+    ({"family": "set:3,6", "n_target": 0}, "n_target must be >= 1"),
+    ({"family": "set:3,6", "neighborhood_k": -1}, "neighborhood_k must be >= 1"),
 ])
 def test_cli_train_rejects_bad_config_files(tmp_path, capsys, config, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -394,6 +401,12 @@ def test_cli_bounds_table(tmp_path, capsys):
     # a mistyped key ('l' for 'l1') is named, not ignored
     assert cli.main(["bounds", "--grid", "d=105;s=11;m=100;n=10;r=1365;delta=0.05;l=7"]) == 2
     assert capsys.readouterr() == ("", "randcrf: unknown grid keys: l\n")
+    # a value that does not convert names its key
+    assert cli.main(["bounds", "--grid", "d=abc;s=11;m=100;n=10;r=1365;delta=0.05"]) == 2
+    assert capsys.readouterr() == ("", "randcrf: grid key 'd' needs int values, got 'abc'\n")
+    assert cli.main(["bounds", "--grid", "d=105;s=11;m=100;n=10;r=1365;delta=0.05,x"]) == 2
+    assert capsys.readouterr() == ("", "randcrf: grid key 'delta' needs float values, "
+                                       "got '0.05,x'\n")
 
 
 def strip_timing(path):

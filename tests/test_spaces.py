@@ -52,17 +52,36 @@ def test_singleton_subsets():
     assert [y.components for y in outs] == [(0,), (1,), (2,)]
 
 
-@pytest.mark.parametrize("v", [3, 4, 6])
+@pytest.mark.parametrize("v", [3, 4, 5, 6])
 def test_tree_enumeration_matches_brute_force(v):
     got = {y.components for y in enumerate_outputs(SpanningTreeFamily(v))}
     assert got == brute_force_tree_components(v)
     assert len(got) == v ** (v - 1)
 
 
-@pytest.mark.parametrize("v,p", [(3, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("v,p", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
 def test_dag_enumeration_matches_brute_force(v, p):
     got = {y.components for y in enumerate_outputs(DagFamily(v, p))}
     assert got == brute_force_dag_components(v, p)
+
+
+@pytest.mark.parametrize("family", [
+    SpanningTreeFamily(3), SpanningTreeFamily(4),
+    DagFamily(3, 1), DagFamily(3, 2), DagFamily(4, 1), DagFamily(4, 3),
+], ids=repr)
+def test_is_valid_accepts_exactly_the_brute_force_structures(family):
+    v = family.num_nodes
+    oracle = (brute_force_dag_components(v, family.max_parents) if isinstance(family, DagFamily)
+              else brute_force_tree_components(v))
+    # every strictly sorted component tuple, valid or not
+    c = family.component_count
+    for bits in range(2 ** c):
+        comps = tuple(i for i in range(c) if bits >> i & 1)
+        assert family.is_valid(comps) == (comps in oracle), comps
+    # unsorted, repeated and out-of-range components
+    y = max(oracle, key=len)
+    for comps in (y[::-1], y[:1] * 2 + y[2:], y[:-1] + (c,), (-1,) + y[1:]):
+        assert not family.is_valid(comps), comps
 
 
 @pytest.mark.parametrize("family", [SubsetFamily(3, 6), SpanningTreeFamily(4), DagFamily(3, 2)])
@@ -80,13 +99,7 @@ def test_enumeration_budget_is_enforced_not_truncated():
     with pytest.raises(FamilyTooLargeError):
         enumerate_outputs(SpanningTreeFamily(12))
     with pytest.raises(FamilyTooLargeError):
-        enumerate_outputs(SET_4_15, budget=100)
-    assert len(enumerate_outputs(SET_4_15, budget=1365)) == 1365
-
-
-def test_enumerate_validates_input_dimension():
-    with pytest.raises(ValueError):
-        enumerate_outputs(SubsetFamily(2, 4), x=np.ones(3))
+        enumerate_outputs(SubsetFamily(8, 30))  # 5,852,925 outputs
 
 
 def test_num_outputs_reported_by_family():

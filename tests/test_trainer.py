@@ -267,3 +267,6 @@ def test_method_entrypoints_are_checked():
         train_svm(S, TrainConfig(method=Method.CRF_RAND))
     with pytest.raises(ValueError):
         train_crf(S, TrainConfig(method=Method.CRF_RAND, beta=1.0))  # no proposal config
+    for beta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            TrainConfig(method=Method.CRF_RAND, beta=beta)
