@@ -207,6 +207,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "reproduce" and args.summary and args.reps < 2:
         parser.error("reproduce --summary needs --reps 2 or more for confidence intervals")
     try:
+        if getattr(args, "seed", 0) < 0:  # gen-data and reproduce
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"randcrf: {exc}", file=sys.stderr)

@@ -106,6 +106,8 @@ class ExperimentConfig:
         for name in ("m_train", "m_test", "repetitions", "n_target", "neighborhood_k"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         # l1_lambda, iterations, step0 and beta get TrainConfig's checks
         TrainConfig(method=Method.CRF_ALL, l1_lambda=self.l1_lambda, iterations=self.iterations,
                     step0=self.step0, beta=self.beta)

@@ -67,9 +67,11 @@ _DENSE_PER_GATHER = 32
 
 
 def _dense_scores(sp: EnumeratedSpace, xw_pad, rows, cand) -> np.ndarray:
-    idx = rows * sp.size
-    idx += cand
-    return (xw_pad[:, :-1] @ sp.incidence.T).ravel().take(idx)
+    # score_matrix's orientation, (size x d) @ (d x rows): the product in the
+    # other orientation rounded some sums differently from the gather
+    idx = cand * xw_pad.shape[0]
+    idx += rows
+    return (sp.incidence @ np.ascontiguousarray(xw_pad[:, :-1]).T).ravel().take(idx)
 
 
 def _scores(sp: EnumeratedSpace, xw_pad, rows, cand) -> np.ndarray:

@@ -18,6 +18,7 @@ coordinate system of dimension ``feature_dim``.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,15 +29,39 @@ import numpy as np
 ENUMERATION_BUDGET = 250_000
 _SCAN_LIMIT = 4_000_000
 
-#: Mask pairs per block of the all-pairs neighbor scan.  Besides bounding
-#: memory, the size matters to training: freeing a block this large (about
-#: 15 MB of XORed masks for the benchmark families) raises glibc's dynamic
-#: mmap and trim thresholds above the trainers' ~1 MB m x r temporaries, which
-#: then reuse heap memory.  With 128-row blocks the thresholds stayed low and
-#: those temporaries page-faulted on every iteration: 14-27k minor faults per
-#: training, and on a 2-core x86 VM set:4,15 crf_all went 52 -> 94 ms and
-#: dag:5,1 crf_rand 27 -> 89 ms.
-_NEIGHBOR_BLOCK_PAIRS = 4_000_000
+#: Mask pairs per block of the all-pairs neighbor scan, sized to stay in
+#: cache: a block's XORed masks, popcounts and compare then take 0.5-1.5 MB,
+#: within one core's 2 MB L2.  Cold set-up (space, table and feature indices;
+#: median of fresh processes on a 2-core x86 VM) against 4,000,000-pair
+#: blocks: set:4,20 92 -> 69 ms, tree:6 170 -> 135 ms, dag:5,2 0.91 -> 0.67 s.
+#: Smaller blocks gained nothing on set:4,15 or dag:5,1 and lost to per-block
+#: overhead on the larger families (32,768 pairs: dag:5,2 0.77 s).
+_NEIGHBOR_BLOCK_PAIRS = 262_144
+
+#: glibc malloc thresholds (bytes), set once per process at import.  With
+#: glibc's defaults the thresholds stay low until the process frees some
+#: large block, and until then the trainers' 0.2-11 MB per-iteration
+#: temporaries are fresh mmap memory that page-faults on every iteration: a
+#: process that trained set:4,15 crf_all without first building a neighbor
+#: table took 14.5k minor faults and twice the time per training.  Fixed
+#: thresholds keep those temporaries on the heap whatever ran before.
+_MMAP_THRESHOLD = 16 << 20
+_TRIM_THRESHOLD = 32 << 20
+
+
+def _set_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds (which also stops glibc from
+    moving them); does nothing where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # macOS, Windows
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+    mallopt(-3, _MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+
+
+_set_malloc_thresholds()
 
 #: Feature vectors are plain float arrays of length ``family.feature_dim``.
 #: By construction every nonzero entry equals 1.
@@ -401,7 +426,8 @@ class EnumeratedSpace:
         each list ascending (canonical order).
 
         Scans all pairs of outputs in blocks of rows: per block, the XOR of
-        the packed masks is popcounted into small unsigned distances, one
+        the packed masks, held in the narrowest unsigned type that fits the
+        family's components, is popcounted into small unsigned distances, one
         compare of ``distance - 1`` (which wraps to the type's maximum for
         the output itself) against k keeps the neighbors, and one flat
         ``nonzero`` lists them.  Generating each ball by toggling
@@ -411,6 +437,10 @@ class EnumeratedSpace:
         cached = self._neighbor_csr.get(k)
         if cached is None:
             r, words = self.masks.shape
+            masks = self.masks
+            if words == 1:  # one word: 1-D masks of 8, 16, 32 or 64 bits
+                bits = max(8, 1 << (self.family.component_count - 1).bit_length())
+                masks = masks[:, 0].astype(np.dtype(f"uint{bits}"))
             dist_type = np.uint8 if words == 1 else np.uint16
             limit = min(max(k, 0), int(np.iinfo(dist_type).max))
             counts = np.empty(r, dtype=np.int64)
@@ -418,8 +448,9 @@ class EnumeratedSpace:
             chunk = max(1, _NEIGHBOR_BLOCK_PAIRS // max(1, r))
             for lo in range(0, r, chunk):
                 hi = min(r, lo + chunk)
-                dist = np.bitwise_count(self.masks[lo:hi, None, :] ^ self.masks[None, :, :])
-                dist = dist.reshape(hi - lo, r) if words == 1 else dist.sum(axis=2, dtype=dist_type)
+                dist = np.bitwise_count(masks[lo:hi, None] ^ masks[None, :])
+                if words > 1:
+                    dist = dist.sum(axis=2, dtype=dist_type)
                 dist -= 1  # wraps to the maximum for the output itself
                 flat = np.flatnonzero(dist < limit)
                 row = flat // r

@@ -334,6 +334,7 @@ def test_experiment_config_round_trip():
     ({"family": "set:3,6", "iterations": 0}, "iterations must be >= 1"),
     ({"family": "set:3,6", "n_target": 0}, "n_target must be >= 1"),
     ({"family": "set:3,6", "neighborhood_k": -1}, "neighborhood_k must be >= 1"),
+    ({"family": "set:3,6", "master_seed": -1}, "master_seed must be >= 0"),
 ])
 def test_cli_train_rejects_bad_config_files(tmp_path, capsys, config, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -407,6 +408,17 @@ def test_cli_bounds_table(tmp_path, capsys):
     assert cli.main(["bounds", "--grid", "d=105;s=11;m=100;n=10;r=1365;delta=0.05,x"]) == 2
     assert capsys.readouterr() == ("", "randcrf: grid key 'delta' needs float values, "
                                        "got '0.05,x'\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["gen-data", "--family", "set:3,6"],
+    ["reproduce", "--families", "set:3,6", "--reps", "1"],
+])
+def test_cli_rejects_negative_seeds(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert cli.main(command + ["--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "randcrf: --seed must be >= 0, got -1\n")
+    assert not out.exists()
 
 
 def strip_timing(path):

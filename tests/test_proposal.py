@@ -170,20 +170,24 @@ def test_build_equals_sequential_propose_invocations(alpha):
             assert [cs for cs in sets] == [(y,) for y in S.outputs]
 
 
-@pytest.mark.parametrize("family", [SET36, SpanningTreeFamily(5), DagFamily(4, 2)])
+@pytest.mark.parametrize("family", [SET36, SpanningTreeFamily(5), DagFamily(4, 2),
+                                    SubsetFamily(4, 15)])
 def test_dense_and_gathered_scores_agree(family):
     # both scoring routes add the same exact terms in ascending feature order,
     # so ties and comparisons, and hence proposals, do not depend on the route
+    # (the product in its other orientation rounded 1 of set:4,15's 2,000
+    # scores at 100 rows by 1 ulp)
     from randcrf.proposal import _dense_scores, _feature_positions, _pad_features, _sum_at
 
     sp = space(family)
     rng = np.random.default_rng(22)
-    X = rng.integers(0, 2, size=(7, family.feature_dim))
-    xw_pad = _pad_features(X * rng.normal(size=family.feature_dim))
-    rows = rng.integers(0, 7, size=200)
-    cand = rng.integers(0, sp.size, size=200)
-    gathered = _sum_at(xw_pad, _feature_positions(sp, xw_pad.shape[1], rows, cand))
-    np.testing.assert_array_equal(_dense_scores(sp, xw_pad, rows, cand), gathered)
+    for m in (7, 100):
+        X = rng.integers(0, 2, size=(m, family.feature_dim))
+        xw_pad = _pad_features(X * rng.normal(size=family.feature_dim))
+        rows = rng.integers(0, m, size=2000)
+        cand = rng.integers(0, sp.size, size=2000)
+        gathered = _sum_at(xw_pad, _feature_positions(sp, xw_pad.shape[1], rows, cand))
+        np.testing.assert_array_equal(_dense_scores(sp, xw_pad, rows, cand), gathered)
 
 
 def test_pass_keeps_starts_without_neighbors():

@@ -272,10 +272,12 @@ def test_neighbor_csr_agrees_with_single_row_lookup():
 @pytest.mark.parametrize("family", [
     SubsetFamily(2, 5), SubsetFamily(3, 6), SET_4_15,
     SubsetFamily(2, 70),  # 70 components: two mask words
+    # each side of each mask width the scan narrows to: 8, 16, 32 and 64 bits
+    *(SubsetFamily(2, u) for u in (8, 9, 16, 17, 32, 33, 64, 65)),
     SpanningTreeFamily(4), SpanningTreeFamily(5),
     DagFamily(3, 2), DagFamily(4, 1), DagFamily(5, 1),  # hold the empty DAG
 ], ids=repr)
-def test_tables_match_per_output_constructions(family):
+def test_tables_match_per_output_constructions(family, monkeypatch):
     sp = space(family)
     masks = masks_reference(sp)
     incidence = incidence_reference(sp)
@@ -283,8 +285,13 @@ def test_tables_match_per_output_constructions(family):
     assert sp.incidence.dtype == incidence.dtype and np.array_equal(sp.incidence, incidence)
     assert sp.feature_indices.dtype == np.int64
     assert np.array_equal(sp.feature_indices, feature_indices_reference(incidence))
-    for k in sorted({1, 2, 3, 4, family.hamming_normalizer}):
-        indptr, data = sp.neighbor_csr(k)
+    radii = sorted({1, 2, 3, 4, family.hamming_normalizer})
+    tables = [sp.neighbor_csr(k) for k in radii]
+    # again in blocks of a quarter of the rows, so that every family scans in several
+    monkeypatch.setattr(sp, "_neighbor_csr", {})
+    monkeypatch.setattr(spaces, "_NEIGHBOR_BLOCK_PAIRS", sp.size * max(1, sp.size // 4))
+    tables += [sp.neighbor_csr(k) for k in radii]
+    for k, (indptr, data) in zip(radii * 2, tables):
         want_indptr, want_data = neighbor_csr_reference(masks, k)
         assert indptr.dtype == data.dtype == np.int64
         assert np.array_equal(indptr, want_indptr) and np.array_equal(data, want_data)
