@@ -53,11 +53,13 @@ def alpha_schedule(w, m: int) -> float:
 # scores and the greedy pass over precomputed neighbor tables
 #
 # A score sums the input*weight entries at an output's active features in
-# ascending feature order.  Two routes give identical floats: gathering each
-# scored output's entries, or one BLAS product of the input rows with the 0/1
-# incidence matrix, whose dot products add exact terms in the same order.
-# The product costs rows * size * d multiply-adds however few outputs are
-# scored, so it only pays when the scored outputs are many.
+# ascending feature order.  Two routes compute it: gathering each scored
+# output's entries, or one BLAS product of the input rows with the 0/1
+# incidence matrix, whose dot products add the same exact terms.  The order
+# of those additions is the BLAS kernel's: with OpenBLAS on x86 the product
+# below matched the gather bit for bit (test_dense_and_gathered_scores_agree),
+# which no BLAS promises.  The product costs rows * size * d multiply-adds
+# however few outputs are scored, so it only pays when they are many.
 
 #: BLAS multiply-adds worth one gathered feature entry.  On a 2-core x86 VM
 #: with OpenBLAS the routes broke even where rows * size * d was 50-90 times

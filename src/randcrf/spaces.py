@@ -30,13 +30,14 @@ ENUMERATION_BUDGET = 250_000
 _SCAN_LIMIT = 4_000_000
 
 #: Mask pairs per block of the all-pairs neighbor scan, sized to stay in
-#: cache: a block's XORed masks, popcounts and compare then take 0.5-1.5 MB,
-#: within one core's 2 MB L2.  Cold set-up (space, table and feature indices;
-#: median of fresh processes on a 2-core x86 VM) against 4,000,000-pair
-#: blocks: set:4,20 92 -> 69 ms, tree:6 170 -> 135 ms, dag:5,2 0.91 -> 0.67 s.
-#: Smaller blocks gained nothing on set:4,15 or dag:5,1 and lost to per-block
-#: overhead on the larger families (32,768 pairs: dag:5,2 0.77 s).
-_NEIGHBOR_BLOCK_PAIRS = 262_144
+#: cache: a block's XORed 64-bit masks take 0.5 MB, its popcounts and compare
+#: a few hundred kB more, within one core's 2 MB L2.  Cold set-up (space,
+#: table and feature indices; median of 7 fresh processes on a 2-core x86 VM)
+#: against 4,000,000-pair blocks: set:4,15 19 -> 8 ms, dag:5,1 13 -> 11 ms,
+#: set:4,20 63 -> 37 ms, tree:6 121 -> 68 ms, dag:5,2 540 -> 384 ms.
+#: 131,072 pairs was 1-2 ms faster on set:4,20 and tree:6 and slower on the
+#: other three; 32,768 lost to per-block overhead on the larger families.
+_NEIGHBOR_BLOCK_PAIRS = 65_536
 
 #: glibc malloc thresholds (bytes), set once per process at import.  With
 #: glibc's defaults the thresholds stay low until the process frees some
@@ -426,8 +427,7 @@ class EnumeratedSpace:
         each list ascending (canonical order).
 
         Scans all pairs of outputs in blocks of rows: per block, the XOR of
-        the packed masks, held in the narrowest unsigned type that fits the
-        family's components, is popcounted into small unsigned distances, one
+        the packed masks is popcounted into small unsigned distances, one
         compare of ``distance - 1`` (which wraps to the type's maximum for
         the output itself) against k keeps the neighbors, and one flat
         ``nonzero`` lists them.  Generating each ball by toggling
@@ -437,10 +437,6 @@ class EnumeratedSpace:
         cached = self._neighbor_csr.get(k)
         if cached is None:
             r, words = self.masks.shape
-            masks = self.masks
-            if words == 1:  # one word: 1-D masks of 8, 16, 32 or 64 bits
-                bits = max(8, 1 << (self.family.component_count - 1).bit_length())
-                masks = masks[:, 0].astype(np.dtype(f"uint{bits}"))
             dist_type = np.uint8 if words == 1 else np.uint16
             limit = min(max(k, 0), int(np.iinfo(dist_type).max))
             counts = np.empty(r, dtype=np.int64)
@@ -448,9 +444,8 @@ class EnumeratedSpace:
             chunk = max(1, _NEIGHBOR_BLOCK_PAIRS // max(1, r))
             for lo in range(0, r, chunk):
                 hi = min(r, lo + chunk)
-                dist = np.bitwise_count(masks[lo:hi, None] ^ masks[None, :])
-                if words > 1:
-                    dist = dist.sum(axis=2, dtype=dist_type)
+                dist = np.bitwise_count(self.masks[lo:hi, None, :] ^ self.masks[None, :, :])
+                dist = dist.reshape(hi - lo, r) if words == 1 else dist.sum(axis=2, dtype=dist_type)
                 dist -= 1  # wraps to the maximum for the output itself
                 flat = np.flatnonzero(dist < limit)
                 row = flat // r

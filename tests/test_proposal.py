@@ -173,10 +173,13 @@ def test_build_equals_sequential_propose_invocations(alpha):
 @pytest.mark.parametrize("family", [SET36, SpanningTreeFamily(5), DagFamily(4, 2),
                                     SubsetFamily(4, 15)])
 def test_dense_and_gathered_scores_agree(family):
-    # both scoring routes add the same exact terms in ascending feature order,
-    # so ties and comparisons, and hence proposals, do not depend on the route
-    # (the product in its other orientation rounded 1 of set:4,15's 2,000
-    # scores at 100 rows by 1 ulp)
+    # both scoring routes add the same exact terms, so ties and comparisons,
+    # and hence proposals, do not depend on the route as long as the BLAS
+    # kernel adds them in ascending feature order.  That is a property of the
+    # kernel, not a guarantee: it held with OpenBLAS on a 2-core x86 VM, where
+    # the product in its other orientation rounded 1 of set:4,15's 2,000
+    # scores at 100 rows by 1 ulp.  A failure here on other hardware means the
+    # dense route changes proposals there.
     from randcrf.proposal import _dense_scores, _feature_positions, _pad_features, _sum_at
 
     sp = space(family)
