@@ -24,7 +24,7 @@ from .proposal import (ProposalConfig, alpha_schedule, augment, build_candidate_
                        propose, proposal_quality_frequency)
 from .spaces import (DagFamily, EnumeratedSpace, FamilyTooLargeError, SpanningTreeFamily,
                      StructuredOutput, SubsetFamily, component_distance, enumerate_outputs,
-                     feature_map, hamming, make_input, neighbors_k, ordered_pair_index, space,
+                     feature_map, hamming, make_input, ordered_pair_index, space,
                      unordered_pair_index)
 from .trainer import (Method, TrainConfig, TrainTrace, beta_schedule, hinge_loss,
                       log_gain, log_gain_gradient, log_likelihood, log_likelihood_gradient,

@@ -53,36 +53,10 @@ def alpha_schedule(w, m: int) -> float:
 # scores and the greedy pass over precomputed neighbor tables
 #
 # A score sums the input*weight entries at an output's active features in
-# ascending feature order.  Two routes compute it: gathering each scored
-# output's entries, or one BLAS product of the input rows with the 0/1
-# incidence matrix, whose dot products add the same exact terms.  The order
-# of those additions is the BLAS kernel's: with OpenBLAS on x86 the product
-# below matched the gather bit for bit (test_dense_and_gathered_scores_agree),
-# which no BLAS promises.  The product costs rows * size * d multiply-adds
-# however few outputs are scored, so it only pays when they are many.
-
-#: BLAS multiply-adds worth one gathered feature entry.  On a 2-core x86 VM
-#: with OpenBLAS the routes broke even where rows * size * d was 50-90 times
-#: the gathered entries, and less inside training loops; that ratio is 5-15
-#: for the standard DAG families and above 50 for set and tree.
-_DENSE_PER_GATHER = 32
-
-
-def _dense_scores(sp: EnumeratedSpace, xw_pad, rows, cand) -> np.ndarray:
-    # score_matrix's orientation, (size x d) @ (d x rows): the product in the
-    # other orientation rounded some sums differently from the gather
-    idx = cand * xw_pad.shape[0]
-    idx += rows
-    return (sp.incidence @ np.ascontiguousarray(xw_pad[:, :-1]).T).ravel().take(idx)
-
-
-def _scores(sp: EnumeratedSpace, xw_pad, rows, cand) -> np.ndarray:
-    """Scores of outputs ``cand`` under rows ``rows`` of ``xw_pad``, by the
-    cheaper route for these sizes."""
-    d = xw_pad.shape[1] - 1
-    if xw_pad.shape[0] * sp.size * d < _DENSE_PER_GATHER * cand.size * sp.feature_indices.shape[0]:
-        return _dense_scores(sp, xw_pad, rows, cand)
-    return _sum_at(xw_pad, _feature_positions(sp, d + 1, rows, cand))
+# ascending feature order, gathered for each scored (sample, output) pair
+# alone.  A pass therefore costs in proportion to the outputs it scores, not
+# to the size of the space, and its sums are numpy's, fixed by the order of
+# the features rather than by any BLAS kernel.
 
 
 def _greedy_pairs(sp: EnumeratedSpace, xw_pad, pair_smp, pair_start, k: int) -> np.ndarray:
@@ -107,7 +81,7 @@ def _greedy_pairs(sp: EnumeratedSpace, xw_pad, pair_smp, pair_start, k: int) -> 
     pos += np.arange(end[-1])
     cand = data.take(pos)
     cand[first] = pair_start
-    s = _scores(sp, xw_pad, pair_smp.repeat(size), cand)
+    s = _sum_at(xw_pad, _feature_positions(sp, xw_pad.shape[1], pair_smp.repeat(size), cand))
     top = np.maximum.reduceat(s, first)
     hit = (s == top.repeat(size)).nonzero()[0]
     return cand[hit[hit.searchsorted(end) - 1]]

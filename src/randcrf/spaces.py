@@ -45,9 +45,12 @@ _NEIGHBOR_BLOCK_PAIRS = 65_536
 #: temporaries are fresh mmap memory that page-faults on every iteration: a
 #: process that trained set:4,15 crf_all without first building a neighbor
 #: table took 14.5k minor faults and twice the time per training.  Fixed
-#: thresholds keep those temporaries on the heap whatever ran before.
+#: thresholds keep those temporaries on the heap whatever ran before.  The
+#: trim threshold must exceed what an iteration frees at the heap top: at
+#: 32 MiB, dag:5,2 (m = 100, r = 13,956) crf_all and svm_all took 33k minor
+#: faults and about twice the time per training.
 _MMAP_THRESHOLD = 16 << 20
-_TRIM_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
 
 
 def _set_malloc_thresholds() -> None:
@@ -473,22 +476,9 @@ class EnumeratedSpace:
         """(size x m) scores for a batch of inputs given as an (m x d) bit matrix."""
         return self.incidence @ (bit_matrix * w).T
 
-    def distances_to(self, idx: int) -> np.ndarray:
-        """Component symmetric-difference sizes from output ``idx`` to every output."""
-        return np.bitwise_count(self.masks ^ self.masks[idx]).sum(axis=1).astype(np.int64)
-
     def pair_distances(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Elementwise symmetric-difference sizes between two index arrays."""
         return np.bitwise_count(self.masks[left] ^ self.masks[right]).sum(axis=-1).astype(np.int64)
-
-    def neighbor_indices(self, idx: int, k: int) -> np.ndarray:
-        """Indices of outputs within unnormalized distance k of ``idx``, excluding it."""
-        csr = self._neighbor_csr.get(k)
-        if csr is not None:
-            indptr, data = csr
-            return data[indptr[idx]:indptr[idx + 1]]
-        d = self.distances_to(idx)
-        return np.nonzero((d > 0) & (d <= k))[0]
 
 
 _SPACE_CACHE: dict[StructureFamily, EnumeratedSpace] = {}
@@ -545,12 +535,3 @@ def hamming(y: StructuredOutput, y2: StructuredOutput) -> float:
     """Normalized Hamming distance in [0, 1]: symmetric difference over the
     family's maximum achievable symmetric-difference size."""
     return component_distance(y, y2) / y.family.hamming_normalizer
-
-
-def neighbors_k(family: StructureFamily, x, y: StructuredOutput, k: int) -> list[StructuredOutput]:
-    """All valid structures within unnormalized distance k of y, excluding y,
-    in canonical order."""
-    if k <= 0:
-        return []
-    sp = space(family)
-    return [sp.outputs[i] for i in sp.neighbor_indices(sp.index(y), k)]

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's enumeration and scoring
 machinery: structures are generated by exhaustive scans with direct validity
-checks, scores by explicit feature dot products, and the proposal pass by a
-literal transcription of its definition.  The exceptions are the
+checks, scores by explicit feature dot products, neighborhoods by
+brute-force component distances, and the proposal pass by a literal
+transcription of its definition.  The exceptions are the
 restricted-loss and augmentation references at the end: they are the
 per-sample loops that the library's segment reductions replaced, and they
 index and score through the enumerated space.
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 
 from randcrf import (DagFamily, SpanningTreeFamily, SubsetFamily, enumerate_outputs,
-                     feature_map, neighbors_k, space)
+                     feature_map, space)
 from randcrf.gumbel_crf import pmf_matrix
 from randcrf.spaces import unordered_pair_index
 
@@ -93,6 +94,27 @@ def exhaustive_map_decode(family, x, w):
     return best
 
 
+def distances_to(sp, idx):
+    """Component symmetric-difference sizes from output ``idx`` to every
+    output of the enumerated space, one set difference at a time."""
+    comps = set(sp.outputs[idx].components)
+    return np.array([len(comps ^ set(z.components)) for z in sp.outputs], dtype=np.int64)
+
+
+def neighbor_indices(sp, idx, k):
+    """Indices of the outputs at component distance 1..k from output ``idx``."""
+    d = distances_to(sp, idx)
+    return np.nonzero((d > 0) & (d <= k))[0]
+
+
+def neighbors_k(family, y, k):
+    """All valid structures within component distance k of y, excluding y, in
+    canonical order, by brute-force distances over the enumeration (never
+    through the space's neighbor table)."""
+    sp = space(family)
+    return [sp.outputs[i] for i in neighbor_indices(sp, sp.index(y), k)]
+
+
 def propose_reference(family, x, y_observed, w, cfg, rng):
     """Literal transcription of one proposal draw: alpha-mixture start, then a
     single pass over the start's snapshot neighborhood in canonical order,
@@ -104,7 +126,7 @@ def propose_reference(family, x, y_observed, w, cfg, rng):
     else:
         start = y_observed
     current = start
-    for nb in neighbors_k(family, x, start, cfg.k):
+    for nb in neighbors_k(family, start, cfg.k):
         if score_of(family, x, nb, w) >= score_of(family, x, current, w):
             current = nb
     return current

@@ -12,7 +12,7 @@ from randcrf import (DagFamily, ExperimentConfig, Method, SpanningTreeFamily, Su
                      load_dataset, load_weights, parse_family, run_experiment, run_repetition,
                      save_dataset, save_weights, space, summarize)
 from randcrf.harness import (METRIC_COLUMNS, METRICS_CSV_HEADER, MetricsRecord,
-                             write_metrics_csv, write_summary_csv)
+                             default_neighborhood_radius, write_metrics_csv, write_summary_csv)
 from randcrf import cli
 
 from oracles import exhaustive_map_decode
@@ -309,6 +309,14 @@ def test_experiment_config_round_trip():
     assert ExperimentConfig.from_dict({"family": "tree", "l1_lambda": 0, "beta": None,
                                        "n_target": None}) == \
         ExperimentConfig(family=SpanningTreeFamily(6), l1_lambda=0)
+
+
+def test_protocol_radius_is_two_unless_given():
+    for label in ("tree:6", "dag:5,1", "dag:5,2", "set:4,15"):
+        family = parse_family(label)
+        assert default_neighborhood_radius(family) == 2
+        assert ExperimentConfig(family=family).resolved_k() == 2
+        assert ExperimentConfig(family=family, neighborhood_k=4).resolved_k() == 4
 
 
 @pytest.mark.parametrize("config,message", [

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from randcrf import (DagFamily, FamilyTooLargeError, SpanningTreeFamily, StructuredOutput,
                      SubsetFamily, component_distance, enumerate_outputs, feature_map,
-                     hamming, make_input, neighbors_k, space)
+                     hamming, make_input, space)
 from randcrf import spaces
 from randcrf.spaces import ordered_pair_index, unordered_pair_index
 
 from oracles import (brute_force_dag_components, brute_force_tree_components,
                      feature_indices_reference, incidence_reference, masks_reference,
-                     neighbor_csr_reference)
+                     neighbor_csr_reference, neighbor_indices, neighbors_k)
 
 SET_4_15 = SubsetFamily(4, 15)
 TREE6 = SpanningTreeFamily(6)
@@ -227,42 +227,47 @@ def test_hamming_rejects_mixed_families():
 
 def test_neighbors_k_zero_is_empty():
     y = enumerate_outputs(SET_4_15)[0]
-    assert neighbors_k(SET_4_15, None, y, 0) == []
+    assert neighbors_k(SET_4_15, y, 0) == []
+    assert not space(SET_4_15).neighbor_csr(0)[1].size
 
 
 def test_neighbors_k_saturates_to_everything_but_self():
     fam = SubsetFamily(2, 5)
     y = enumerate_outputs(fam)[3]
-    nb = neighbors_k(fam, None, y, fam.hamming_normalizer)
+    nb = neighbors_k(fam, y, fam.hamming_normalizer)
     assert len(nb) == len(enumerate_outputs(fam)) - 1
+    indptr, _ = space(fam).neighbor_csr(fam.hamming_normalizer)
+    assert (np.diff(indptr) == len(nb)).all()
 
 
 def test_subset_single_swap_neighbor_count():
     y = enumerate_outputs(SET_4_15)[100]
-    assert len(neighbors_k(SET_4_15, None, y, 2)) == 4 * 11
+    assert len(neighbors_k(SET_4_15, y, 2)) == 4 * 11
+    indptr, _ = space(SET_4_15).neighbor_csr(2)
+    assert (np.diff(indptr) == 4 * 11).all()
 
 
 @pytest.mark.parametrize("family,k", [(SubsetFamily(3, 6), 2), (SpanningTreeFamily(4), 2),
                                       (DagFamily(3, 2), 1), (DagFamily(3, 2), 3)])
 def test_neighbors_match_direct_distance_filter(family, k, monkeypatch):
-    # a fresh space: balls computed on demand first, then read from the CSR table
+    # a fresh space's neighbor table, row by row, against the outputs that
+    # component_distance puts within k
     monkeypatch.setattr(spaces, "_SPACE_CACHE", {})
     outs = enumerate_outputs(family)
     want = [[z.components for z in outs
              if z.components != y.components and component_distance(y, z) <= k] for y in outs]
-    assert not space(family)._neighbor_csr
-    assert [[n.components for n in neighbors_k(family, None, y, k)] for y in outs] == want
-    space(family).neighbor_csr(k)
-    assert [[n.components for n in neighbors_k(family, None, y, k)] for y in outs] == want
+    assert [[n.components for n in neighbors_k(family, y, k)] for y in outs] == want
+    indptr, data = space(family).neighbor_csr(k)
+    assert [[outs[j].components for j in data[indptr[i]:indptr[i + 1]]]
+            for i in range(len(outs))] == want
 
 
 def test_neighbor_csr_agrees_with_single_row_lookup():
     sp = space(SubsetFamily(3, 6))
     indptr, data = sp.neighbor_csr(2)
     for idx in (0, 5, 19):
-        row = data[indptr[idx]:indptr[idx + 1]]
-        d = sp.distances_to(idx)
-        np.testing.assert_array_equal(row, np.nonzero((d > 0) & (d <= 2))[0])
+        np.testing.assert_array_equal(data[indptr[idx]:indptr[idx + 1]],
+                                      neighbor_indices(sp, idx, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -281,21 +281,23 @@ def test_method_entrypoints_are_checked():
 # Exact trainers in a fresh process that never builds a neighbor table: with
 # glibc's default, moving malloc thresholds their m x r temporaries were fresh
 # mmap memory in every training (set:4,15, m = 100: 14.5k minor faults per
-# crf_all training and 20.5k per svm_all training).
+# crf_all training and 20.5k per svm_all training), and with a 32 MiB trim
+# threshold dag:5,2's were trimmed and faulted in again (33k per training).
 FAULTS_PROBE = """
 import json, resource
-from randcrf import Method, SubsetFamily, TrainConfig, space, train_crf, train_svm
+from randcrf import DagFamily, Method, SubsetFamily, TrainConfig, space, train_crf, train_svm
 from randcrf.harness import generate_dataset, generate_ground_truth
 
-family = SubsetFamily(4, 15)
-S = generate_dataset(family, generate_ground_truth(family, 0), 100, 1)
 faults = {}
-for method, train in ((Method.CRF_ALL, train_crf), (Method.SVM_ALL, train_svm)):
-    for _ in range(3):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train(S, TrainConfig(method=method))
-        faults[method.value] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-assert not space(family)._neighbor_csr
+for family in (SubsetFamily(4, 15), DagFamily(5, 2)):
+    S = generate_dataset(family, generate_ground_truth(family, 0), 100, 1)
+    for method, train in ((Method.CRF_ALL, train_crf), (Method.SVM_ALL, train_svm)):
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(S, TrainConfig(method=method))
+            faults[f"{family} {method.value}"] = \
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert not space(family)._neighbor_csr
 print(json.dumps(faults))
 """
 
@@ -308,5 +310,5 @@ def test_exact_trainings_do_not_fault_without_a_neighbor_table():
     done = subprocess.run([sys.executable, "-c", FAULTS_PROBE], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    faults = json.loads(done.stdout)  # of each method's third training
-    assert faults["crf_all"] < 1000 and faults["svm_all"] < 1000, faults
+    faults = json.loads(done.stdout)  # of each family and method's third training
+    assert len(faults) == 4 and max(faults.values()) < 1000, faults
