@@ -58,14 +58,6 @@ def approximation_error(m: int, w) -> float:
     return l1 / math.sqrt(m) + 1.0 / (1.0 + math.sqrt(m))
 
 
-def approximation_error_tight(m: int, n: int, w) -> float:
-    """Diagnostic variant with the sharper 1/(1 + n sqrt(m)) second term."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    l1 = float(np.abs(as_weights(w)).sum())
-    return l1 / math.sqrt(m) + 1.0 / (1.0 + n * math.sqrt(m))
-
-
 def statistical_error(d: int, s: int, n: int, r: int, m: int, delta: float) -> float:
     """Deviation of the randomized loss from its candidate-set expectation:
     2 sqrt(s(ln d + 2 ln(nr))/m) + sqrt(ln(1/delta)/(2m))

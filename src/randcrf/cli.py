@@ -74,7 +74,10 @@ def _add_eval(sub):
     p.add_argument("--data", required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--metrics", required=True, help="output CSV of loss rows")
-    p.add_argument("--beta", type=float, help="Gumbel scale; default is the training schedule")
+    p.add_argument("--beta", type=float,
+                   help="Gumbel scale; default is beta_schedule(m, r) with m the number of "
+                        "samples in --data (reproduce scores its test sets at "
+                        "beta_schedule(m_train, r) instead)")
     p.add_argument("--run-id", default="eval")
     p.add_argument("--method", default="eval")
 

@@ -17,18 +17,6 @@ import numpy as np
 from .spaces import EnumeratedSpace, StructureFamily, StructuredOutput, input_bits, space
 
 
-@dataclass(frozen=True)
-class PerturbationConfig:
-    """Gumbel scale and seed for reproducible noise streams."""
-
-    beta: float
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-
-
 @dataclass(frozen=True, eq=False)
 class WeightVector:
     """Weights with sparsity metadata (support size, minimum nonzero magnitude)."""
@@ -148,21 +136,13 @@ def as_candidate_sets(sets: Sequence[Sequence[StructuredOutput]], family: Struct
 
 
 def gumbel_from_uniform(u, beta: float) -> np.ndarray:
-    """Inverse-CDF transform: u in (0,1) -> -beta * ln(-ln u)."""
-    return -beta * np.log(-np.log(np.asarray(u, dtype=np.float64)))
+    """Inverse-CDF transform: u in (0,1) -> -beta * ln(-ln u).
 
-
-def sample_gumbel(cfg: PerturbationConfig, count: int) -> np.ndarray:
-    """``count`` iid Gumbel(0, beta) draws, deterministic for a fixed seed.
-
-    Sampling is by inverse CDF rather than numpy's built-in gumbel so that the
-    uniform stream, and hence the draws, are reproducible across platforms
-    within one numpy generation (PCG64).
+    Gumbel(0, beta) draws from an explicit uniform stream rather than numpy's
+    built-in gumbel, so the draws are as reproducible as the stream (within
+    one numpy generation for PCG64).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(cfg.rng_seed)
-    return gumbel_from_uniform(rng.random(count), cfg.beta)
+    return -beta * np.log(-np.log(np.asarray(u, dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +150,7 @@ def sample_gumbel(cfg: PerturbationConfig, count: int) -> np.ndarray:
 
 
 def map_decode(family: StructureFamily, x, w) -> StructuredOutput:
-    """Highest-scoring structure; ties broken by smallest canonical key."""
+    """Highest-scoring structure; ties go to the earliest in canonical order."""
     sp = space(family)
     if sp.size == 0:
         raise ValueError("empty output space")

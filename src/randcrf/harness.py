@@ -84,7 +84,7 @@ def generate_dataset(family: StructureFamily, w_star, m: int, seed) -> Dataset:
 #: Config keys that take integers, and keys that take real numbers (``from_dict``).
 _CONFIG_INTS = ("m_train", "m_test", "repetitions", "iterations", "n_target", "neighborhood_k",
                 "master_seed")
-_CONFIG_REALS = ("l1_lambda", "step0", "beta")
+_CONFIG_REALS = ("l1_lambda", "beta")
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,6 @@ class ExperimentConfig:
     methods: tuple[Method, ...] = tuple(Method)
     l1_lambda: float = 0.01
     iterations: int = 20
-    step0: float | None = None  # None -> trainer default (Gumbel scale for CRF)
     n_target: int | None = None  # None -> ceil(sqrt(m_train))
     neighborhood_k: int | None = None  # None -> default_neighborhood_radius(family)
     beta: float | None = None  # None -> beta_schedule(m_train, r)
@@ -108,9 +107,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
-        # l1_lambda, iterations, step0 and beta get TrainConfig's checks
+        # a repeated method would train twice and double its records; an
+        # empty tuple of methods is legal
+        for i, method in enumerate(self.methods):
+            if method in self.methods[:i]:
+                raise ValueError(f"method {method.value} is listed twice")
+        # l1_lambda, iterations and beta get TrainConfig's checks
         TrainConfig(method=Method.CRF_ALL, l1_lambda=self.l1_lambda, iterations=self.iterations,
-                    step0=self.step0, beta=self.beta)
+                    beta=self.beta)
 
     def resolved_n_target(self) -> int:
         return self.n_target if self.n_target is not None else math.ceil(math.sqrt(self.m_train))
@@ -123,7 +127,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Config from parsed JSON: ``family`` is a label such as 'set:4,15',
         ``methods`` a list of method names, the counts and the seed integers,
-        ``l1_lambda``, ``step0`` and ``beta`` real numbers, and a key whose
+        ``l1_lambda`` and ``beta`` real numbers, and a key whose
         default is None may be null.  A ValueError names an unknown key or
         the key of a value of the wrong type."""
         if not isinstance(d, dict):
@@ -191,7 +195,7 @@ TIMING_COLUMNS = ("train_seconds",)
 def _train_method(method: Method, S_train: Dataset, cfg: ExperimentConfig,
                   seed: int) -> tuple[WeightVector, TrainTrace]:
     tc = TrainConfig(method=method, l1_lambda=cfg.l1_lambda, iterations=cfg.iterations,
-                     step0=cfg.step0, beta=cfg.beta, seed=seed)
+                     beta=cfg.beta, seed=seed)
     pc = ProposalConfig(alpha=0.0, k=cfg.resolved_k(), n_target=cfg.resolved_n_target())
     if method in (Method.CRF_ALL, Method.CRF_RAND):
         return train_crf(S_train, tc, pc)
@@ -352,7 +356,8 @@ def parse_family(label: str) -> StructureFamily:
 
 def parse_family_list(spec: str) -> list[StructureFamily]:
     """Comma-separated family labels; bare digits continue the previous label,
-    so 'set:3,6,tree' reads as ['set:3,6', 'tree']."""
+    so 'set:3,6,tree' reads as ['set:3,6', 'tree'].  A family listed twice,
+    under any of its labels, is an error."""
     parts: list[str] = []
     for tok in spec.split(","):
         tok = tok.strip()
@@ -360,7 +365,11 @@ def parse_family_list(spec: str) -> list[StructureFamily]:
             parts[-1] += "," + tok
         else:
             parts.append(tok)
-    return [parse_family(p) for p in parts]
+    families = [parse_family(p) for p in parts]
+    for i, family in enumerate(families):
+        if family in families[:i]:
+            raise ValueError(f"family {family_label(family)} is listed twice")
+    return families
 
 
 def family_label(family: StructureFamily) -> str:

@@ -1,8 +1,6 @@
-"""Dataset container and the exact, randomized, Monte-Carlo, and Hamming losses.
+"""Dataset container and the exact, randomized, and Hamming losses.
 
-All probabilistic losses are computed from closed-form CRF probabilities;
-Monte-Carlo estimation over fresh Gumbel draws is provided as an independent
-check of the same quantity.
+All probabilistic losses are computed from closed-form CRF probabilities.
 """
 
 from __future__ import annotations
@@ -13,15 +11,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import (_pad_features, _segment_pmfs, as_candidate_sets, as_weights,
-                         gumbel_from_uniform, pmf_matrix)
+from .gumbel_crf import _pad_features, _segment_pmfs, as_candidate_sets, as_weights, pmf_matrix
 from .spaces import StructureFamily, StructuredOutput, space
 
 
 class LossKind(Enum):
     EXACT_CRF = "exact_crf"
     RANDOMIZED_AUGMENTED = "randomized_augmented"
-    MONTE_CARLO_ZERO_ONE = "monte_carlo_zero_one"
     HAMMING = "hamming"
     HINGE = "hinge"
 
@@ -77,8 +73,8 @@ def _true_indices(S: Dataset) -> np.ndarray:
     return np.array([sp.index(y) for y in S.outputs])
 
 
-def _report(per_sample: np.ndarray, kind: LossKind, stderr: float | None = None) -> LossReport:
-    return LossReport(float(per_sample.mean()), per_sample, kind, stderr)
+def _report(per_sample: np.ndarray, kind: LossKind) -> LossReport:
+    return LossReport(float(per_sample.mean()), per_sample, kind)
 
 
 def exact_crf_loss(w, S: Dataset, beta: float) -> LossReport:
@@ -114,33 +110,6 @@ def loss_gap(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]], beta: fl
     full_probs, _ = pmf_matrix(space(S.family), _bit_matrix(S), w, beta)
     inside = np.add.reduceat(full_probs[sets.indices, sets.samples], sets.offsets[:-1])
     return float(-(q * (1.0 - inside)).mean())
-
-
-def monte_carlo_loss(w, S: Dataset, beta: float, draws: int, seed: int) -> LossReport:
-    """Empirical zero-one loss of the perturbed decoder over fresh Gumbel draws.
-
-    Reports the binomial standard error of the dataset mean.
-    """
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    sp = space(S.family)
-    y_idx = _true_indices(S)
-    scores = sp.score_matrix(_bit_matrix(S), as_weights(w))
-    rng = np.random.default_rng(seed)
-    chunk = max(1, 8_000_000 // sp.size)
-    per = np.empty(S.m)
-    for i in range(S.m):
-        misses = 0
-        done = 0
-        while done < draws:
-            n = min(chunk, draws - done)
-            gamma = gumbel_from_uniform(rng.random((n, sp.size)), beta)
-            hits = np.argmax(scores[:, i] + gamma, axis=1)
-            misses += int((hits != y_idx[i]).sum())
-            done += n
-        per[i] = misses / draws
-    stderr = float(np.sqrt((per * (1 - per) / draws).sum()) / S.m)
-    return _report(per, LossKind.MONTE_CARLO_ZERO_ONE, stderr)
 
 
 def hamming_loss(w, S: Dataset) -> LossReport:

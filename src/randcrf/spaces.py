@@ -351,10 +351,6 @@ class StructuredOutput:
         if not _strictly_sorted(self.components):
             raise ValueError(f"components must be strictly sorted, got {self.components}")
 
-    @property
-    def canonical_key(self) -> tuple[int, ...]:
-        return self.components
-
 
 def make_input(family: StructureFamily, bits) -> np.ndarray:
     """An observed input: a uint8 0/1 vector over the family's candidate-pair
@@ -485,7 +481,10 @@ _SPACE_CACHE: dict[StructureFamily, EnumeratedSpace] = {}
 
 
 def space(family: StructureFamily) -> EnumeratedSpace:
-    """The cached enumeration of the family (built once per process)."""
+    """The cached enumeration of the family (built once per process): every
+    valid structure exactly once, sorted by component tuple.  Raises
+    FamilyTooLargeError instead of truncating when the family exceeds
+    ``ENUMERATION_BUDGET``."""
     sp = _SPACE_CACHE.get(family)
     if sp is None:
         comps = list(itertools.islice(family._iter_components(), ENUMERATION_BUDGET + 1))
@@ -498,15 +497,8 @@ def space(family: StructureFamily) -> EnumeratedSpace:
     return sp
 
 
-def enumerate_outputs(family: StructureFamily) -> list[StructuredOutput]:
-    """Every valid structure exactly once, sorted by canonical key.  Raises
-    FamilyTooLargeError instead of truncating when the family exceeds
-    ``ENUMERATION_BUDGET``."""
-    return list(space(family).outputs)
-
-
 # ---------------------------------------------------------------------------
-# feature map and distances
+# feature map
 
 
 def feature_map(family: StructureFamily, x, y: StructuredOutput) -> FeatureVector:
@@ -522,16 +514,3 @@ def feature_map(family: StructureFamily, x, y: StructuredOutput) -> FeatureVecto
     row = np.zeros(family.feature_dim)
     row[family._feature_cells(np.zeros_like(comps), comps)[1]] = 1.0
     return row * input_bits(family, x)
-
-
-def component_distance(y: StructuredOutput, y2: StructuredOutput) -> int:
-    """Unnormalized Hamming distance: component symmetric-difference size."""
-    if y.family != y2.family:
-        raise ValueError("structures from different families")
-    return len(set(y.components) ^ set(y2.components))
-
-
-def hamming(y: StructuredOutput, y2: StructuredOutput) -> float:
-    """Normalized Hamming distance in [0, 1]: symmetric difference over the
-    family's maximum achievable symmetric-difference size."""
-    return component_distance(y, y2) / y.family.hamming_normalizer

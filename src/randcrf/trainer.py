@@ -6,7 +6,8 @@ direction; the log of the mean recovery probability and its q-weighted
 moment-matching gradient are also exposed (``log_gain``,
 ``log_gain_gradient``).  SVM baselines descend a margin-rescaled structured
 hinge with normalized Hamming distortion.  Both use the step schedule
-step0/sqrt(t) followed by an L1 proximal (soft-threshold) step, and both come
+step0/sqrt(t), with step0 the Gumbel scale for CRF methods and 1 for SVM,
+followed by an L1 proximal (soft-threshold) step, and both come
 in an exact flavor (decoding over the full space) and a randomized flavor
 (decoding over freshly sampled candidate sets).
 
@@ -44,13 +45,9 @@ RANDOMIZED_METHODS = (Method.CRF_RAND, Method.SVM_RAND)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """step0 = None picks the Gumbel scale for CRF methods (so one update is
-    exactly the moment-matching direction times 1/sqrt(t)) and 1.0 for SVM."""
-
     method: Method
     l1_lambda: float = 0.01
     iterations: int = 20
-    step0: float | None = None
     beta: float | None = None  # None -> beta_schedule(m, r) for CRF methods
     seed: int = 0
 
@@ -59,8 +56,6 @@ class TrainConfig:
             raise ValueError("iterations must be >= 1")
         if self.l1_lambda < 0:
             raise ValueError("l1_lambda must be >= 0")
-        if self.step0 is not None and not self.step0 > 0:
-            raise ValueError("step0 must be positive")
         if self.beta is not None and not self.beta > 0:
             raise ValueError("beta must be positive")
 
@@ -148,18 +143,12 @@ def log_gain_gradient(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
     return (q @ diff) / (beta * q.sum())
 
 
-def log_likelihood(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
-                   beta: float) -> float:
-    """Mean log restricted probability of the observed outputs (the training
-    objective of the CRF methods; it lower-bounds ``log_gain``)."""
-    q, _ = _gain_terms(w, S, Tbar, beta)
-    return float(np.log(q).mean())
-
-
 def log_likelihood_gradient(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
                             beta: float) -> np.ndarray:
-    """Gradient of ``log_likelihood``: the standard moment-matching direction
-    (mean observed-minus-expected feature difference) scaled by 1/beta."""
+    """Gradient of the mean log restricted probability of the observed
+    outputs (the CRF methods' training objective, which lower-bounds
+    ``log_gain``): the standard moment-matching direction (mean
+    observed-minus-expected feature difference) scaled by 1/beta."""
     _, diff = _gain_terms(w, S, Tbar, beta)
     return diff.mean(axis=0) / beta
 
@@ -201,7 +190,7 @@ def _hinge_terms_segments(sp, X, sets: CandidateSets, y_idx, xw_pad):
     aug = s + dist
     starts = sets.offsets[:-1]
     seg_max = np.maximum.reduceat(aug, starts)
-    # ties break toward the smallest canonical key: first position in segment
+    # ties break toward the earliest in canonical order: first position in segment
     eligible = np.where(aug == seg_max[smp], np.arange(aug.size), aug.size)
     best = cand[np.minimum.reduceat(eligible, starts)]
     margins = seg_max - s[y_flat]
@@ -255,7 +244,8 @@ def _train(S: Dataset, cfg: TrainConfig, proposal_cfg):
     beta = None
     if is_crf:
         beta = cfg.beta if cfg.beta is not None else beta_schedule(m, sp.size)
-    step0 = cfg.step0 if cfg.step0 is not None else (beta if is_crf else 1.0)
+    # for CRF methods one update is the moment-matching direction times 1/sqrt(t)
+    step0 = beta if is_crf else 1.0
     dist_cols = _distance_columns(sp, y_idx) if cfg.method is Method.SVM_ALL else None
 
     rng = np.random.default_rng(cfg.seed)

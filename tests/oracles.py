@@ -7,15 +7,17 @@ brute-force component distances, and the proposal pass by a literal
 transcription of its definition.  The exceptions are the
 restricted-loss and augmentation references at the end: they are the
 per-sample loops that the library's segment reductions replaced, and they
-index and score through the enumerated space.
+index and score through the enumerated space; so does the Monte-Carlo
+estimate of the exact loss, which decodes fresh Gumbel draws instead of
+using the closed form.
 """
 
 import itertools
 
 import numpy as np
 
-from randcrf import (DagFamily, SpanningTreeFamily, SubsetFamily, enumerate_outputs,
-                     feature_map, space)
+from randcrf import (DagFamily, LossKind, LossReport, SpanningTreeFamily, SubsetFamily,
+                     feature_map, gumbel_from_uniform, space)
 from randcrf.gumbel_crf import pmf_matrix
 from randcrf.spaces import unordered_pair_index
 
@@ -83,11 +85,24 @@ def score_of(family, x, y, w):
     return float(feature_map(family, x, y) @ np.asarray(w, dtype=np.float64))
 
 
+def component_distance(y, y2):
+    """Unnormalized Hamming distance: component symmetric-difference size."""
+    if y.family != y2.family:
+        raise ValueError("structures from different families")
+    return len(set(y.components) ^ set(y2.components))
+
+
+def hamming(y, y2):
+    """Normalized Hamming distance in [0, 1]: symmetric difference over the
+    family's maximum achievable symmetric-difference size."""
+    return component_distance(y, y2) / y.family.hamming_normalizer
+
+
 def exhaustive_map_decode(family, x, w):
     """Argmax by scanning the enumeration; ties to the earliest (canonical) output."""
     best = None
     best_score = -np.inf
-    for y in enumerate_outputs(family):
+    for y in space(family).outputs:
         s = score_of(family, x, y, w)
         if s > best_score:
             best, best_score = y, s
@@ -119,7 +134,7 @@ def propose_reference(family, x, y_observed, w, cfg, rng):
     """Literal transcription of one proposal draw: alpha-mixture start, then a
     single pass over the start's snapshot neighborhood in canonical order,
     moving whenever the neighbor's score reaches the running candidate's."""
-    outputs = enumerate_outputs(family)
+    outputs = space(family).outputs
     u = rng.random(2)
     if u[0] < cfg.alpha:
         start = outputs[int(u[1] * len(outputs))]
@@ -134,7 +149,7 @@ def propose_reference(family, x, y_observed, w, cfg, rng):
 
 def random_instance(family, rng, m=4, w_scale=1.0, integer_weights=False):
     """A small random (w, S-like) instance: bit matrix, observed outputs, weights."""
-    outputs = enumerate_outputs(family)
+    outputs = space(family).outputs
     d = family.feature_dim
     X = rng.integers(0, 2, size=(m, d), dtype=np.uint8)
     ys = tuple(outputs[int(i)] for i in rng.integers(0, len(outputs), size=m))
@@ -249,3 +264,44 @@ def augment_reference(sets, S):
         comps = [o.components for o in cs]
         out.append(comps if y.components in comps else sorted(comps + [y.components]))
     return out
+
+
+# ---------------------------------------------------------------------------
+# sampled and per-sample references for the CRF losses and objective
+
+
+def monte_carlo_loss(w, S, beta, draws, seed):
+    """Empirical zero-one loss of the perturbed decoder over fresh Gumbel
+    draws: an estimate of the exact CRF loss, reported with the binomial
+    standard error of the dataset mean."""
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
+    sp = space(S.family)
+    y_idx = np.array([sp.index(y) for y in S.outputs])
+    scores = sp.score_matrix(np.asarray(S.inputs, dtype=np.float64),
+                             np.asarray(w, dtype=np.float64))
+    rng = np.random.default_rng(seed)
+    chunk = max(1, 8_000_000 // sp.size)
+    per = np.empty(S.m)
+    for i in range(S.m):
+        misses = 0
+        done = 0
+        while done < draws:
+            n = min(chunk, draws - done)
+            gamma = gumbel_from_uniform(rng.random((n, sp.size)), beta)
+            hits = np.argmax(scores[:, i] + gamma, axis=1)
+            misses += int((hits != y_idx[i]).sum())
+            done += n
+        per[i] = misses / draws
+    stderr = float(np.sqrt((per * (1 - per) / draws).sum()) / S.m)
+    return LossReport(float(per.mean()), per, LossKind.EXACT_CRF, stderr)
+
+
+def log_likelihood(w, S, sets, beta):
+    """Mean log restricted probability of the observed outputs (the CRF
+    methods' training objective), one sample at a time."""
+    sp = space(S.family)
+    X = np.asarray(S.inputs, dtype=np.float64)
+    w_eff = np.asarray(w, dtype=np.float64) / beta
+    return float(np.mean([np.log(_restricted_observed_prob(sp, X[i], w_eff, cs, y)[0])
+                          for i, (cs, y) in enumerate(zip(sets, S.outputs))]))

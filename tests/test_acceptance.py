@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randcrf import (DagFamily, ExperimentConfig, Method, SpanningTreeFamily, SubsetFamily,
-                     approximation_error, crf_pmf, enumerate_outputs, exact_crf_loss,
-                     full_candidate_set, generalization_bound, gumbel_from_uniform, log_gain,
-                     log_gain_gradient, loss_gap, propose, randomized_loss, run_experiment,
-                     space, statistical_error, summarize)
+from randcrf import (DagFamily, ExperimentConfig, SpanningTreeFamily, SubsetFamily,
+                     approximation_error, crf_pmf, exact_crf_loss, full_candidate_set,
+                     generalization_bound, gumbel_from_uniform, log_gain, log_gain_gradient,
+                     loss_gap, propose, randomized_loss, run_experiment, space,
+                     statistical_error)
 from randcrf import cli
 from randcrf.losses import Dataset
 from randcrf.proposal import ProposalConfig
@@ -166,7 +166,7 @@ def test_criterion_4_gradient_finite_differences():
 def test_criterion_5_proposal_ordering_equivalence():
     fam = SubsetFamily(3, 6)
     rng = np.random.default_rng(105)
-    outs = enumerate_outputs(fam)
+    outs = space(fam).outputs
     x = np.ones(fam.feature_dim)
     cfg = ProposalConfig(alpha=0.5, k=2)
     agree = 0

@@ -4,9 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from randcrf import (BoundInputs, WeightVector, approximation_error, approximation_error_tight,
-                     beta_condition, generalization_bound, sample_size_condition,
-                     statistical_error, total_bound)
+from randcrf import (BoundInputs, WeightVector, approximation_error, beta_condition,
+                     generalization_bound, sample_size_condition, statistical_error,
+                     total_bound)
 from randcrf.bounds import BOUND_TABLE_HEADER, bound_table
 
 mpmath.mp.dps = 50
@@ -84,13 +84,6 @@ def test_approximation_error_values():
     w = np.array([1.0, -1.0])
     assert approximation_error(100, w) == pytest.approx(0.2 + 1.0 / 11.0)
     assert approximation_error(10 ** 12, w) < 3e-6
-
-
-def test_tight_variant_is_no_larger():
-    w = np.array([0.5, 0.25])
-    for m in (25, 100, 400):
-        for n in (1, 5, 20):
-            assert approximation_error_tight(m, n, w) <= approximation_error(m, w) + 1e-15
 
 
 def test_statistical_error_first_term_coincides_with_generalization_when_n_is_m():

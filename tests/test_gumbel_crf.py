@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randcrf import (CandidateSets, PerturbationConfig, SpanningTreeFamily, SubsetFamily,
-                     WeightVector, as_candidate_sets, crf_pmf, enumerate_outputs,
-                     full_candidate_set, gumbel_from_uniform, map_decode, perturbed_decode,
-                     sample_gumbel, space)
+from randcrf import (CandidateSets, SpanningTreeFamily, SubsetFamily, WeightVector,
+                     as_candidate_sets, crf_pmf, full_candidate_set, gumbel_from_uniform,
+                     map_decode, perturbed_decode, space)
 from randcrf.gumbel_crf import pmf_matrix
 
 from oracles import exhaustive_map_decode, random_instance
@@ -38,23 +37,18 @@ def test_scale_doubles_draws_from_the_same_uniform_stream():
                                rtol=1e-15)
 
 
-def test_sample_gumbel_deterministic_and_positive_count():
-    cfg = PerturbationConfig(beta=1.5, rng_seed=11)
-    a = sample_gumbel(cfg, 100)
-    b = sample_gumbel(cfg, 100)
-    np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValueError):
-        sample_gumbel(cfg, 0)
-
-
 def test_empirical_mean_matches_euler_mascheroni():
-    draws = sample_gumbel(PerturbationConfig(beta=1.0, rng_seed=7), 10 ** 6)
+    draws = gumbel_from_uniform(np.random.default_rng(7).random(10 ** 6), 1.0)
     assert abs(draws.mean() - EULER_MASCHERONI) < 0.005
 
 
 def test_beta_must_be_positive():
-    with pytest.raises(ValueError):
-        PerturbationConfig(beta=0.0)
+    x, w = scores_are_weights_setup(), np.zeros(SET23.feature_dim)
+    for beta in (0.0, -1.0):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            crf_pmf(SET23, x, w, full_candidate_set(SET23), beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            pmf_matrix(space(SET23), x[None, :], w, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +58,12 @@ def test_beta_must_be_positive():
 def test_map_decode_zero_weights_returns_first_canonical():
     fam = SubsetFamily(3, 6)
     assert map_decode(fam, np.ones(fam.feature_dim), np.zeros(fam.feature_dim)) \
-        == enumerate_outputs(fam)[0]
+        == space(fam).outputs[0]
 
 
 def test_map_decode_singleton_space():
     fam = SubsetFamily(3, 3)
-    outs = enumerate_outputs(fam)
+    outs = space(fam).outputs
     assert len(outs) == 1
     assert map_decode(fam, np.ones(fam.feature_dim), np.random.default_rng(0).normal(size=3)) \
         == outs[0]
@@ -87,13 +81,13 @@ def test_perturbed_decode_zero_noise_is_map_decode():
     fam = SubsetFamily(3, 6)
     rng = np.random.default_rng(4)
     X, _, w = random_instance(fam, rng, m=1)
-    r = len(enumerate_outputs(fam))
+    r = space(fam).size
     assert perturbed_decode(fam, X[0], w, np.zeros(r)) == map_decode(fam, X[0], w)
 
 
 def test_perturbed_decode_huge_noise_entry_wins():
     fam = SubsetFamily(2, 4)
-    outs = enumerate_outputs(fam)
+    outs = space(fam).outputs
     gamma = np.zeros(len(outs))
     gamma[3] = 1e9
     assert perturbed_decode(fam, np.ones(fam.feature_dim), np.zeros(fam.feature_dim), gamma) \
@@ -107,7 +101,7 @@ def test_perturbed_decode_checks_gamma_length():
 
 
 def test_perturbed_decode_restricted_support():
-    outs = enumerate_outputs(SET23)
+    outs = space(SET23).outputs
     sub = (outs[0], outs[2])
     gamma = np.array([0.0, 1e9])
     got = perturbed_decode(SET23, scores_are_weights_setup(), np.zeros(3), gamma, support=sub)
@@ -119,7 +113,7 @@ def test_perturbed_decode_restricted_support():
 
 
 def test_equal_scores_give_half_half():
-    outs = enumerate_outputs(SET23)
+    outs = space(SET23).outputs
     sub = (outs[0], outs[1])
     for beta in (0.2, 1.0, 7.0):
         dist = crf_pmf(SET23, scores_are_weights_setup(), np.zeros(3), sub, beta)
@@ -127,7 +121,7 @@ def test_equal_scores_give_half_half():
 
 
 def test_unit_score_gap_closed_form():
-    outs = enumerate_outputs(SET23)
+    outs = space(SET23).outputs
     sub = (outs[0], outs[1])
     w = np.array([1.0, 0.0, 0.0])  # scores (1, 0) for the two supported outputs
     dist = crf_pmf(SET23, scores_are_weights_setup(), w, sub, 1.0)

@@ -8,9 +8,9 @@ import pytest
 from scipy import stats
 
 from randcrf import (DagFamily, ExperimentConfig, Method, SpanningTreeFamily, SubsetFamily,
-                     enumerate_outputs, family_label, generate_dataset, generate_ground_truth,
-                     load_dataset, load_weights, parse_family, run_experiment, run_repetition,
-                     save_dataset, save_weights, space, summarize)
+                     family_label, generate_dataset, generate_ground_truth, load_dataset,
+                     load_weights, parse_family, run_experiment, run_repetition, save_dataset,
+                     save_weights, space, summarize)
 from randcrf.harness import (METRIC_COLUMNS, METRICS_CSV_HEADER, MetricsRecord,
                              default_neighborhood_radius, write_metrics_csv, write_summary_csv)
 from randcrf import cli
@@ -58,7 +58,7 @@ def test_generated_labels_match_exhaustive_decoder():
 def test_zero_ground_truth_gives_canonical_labels():
     fam = SET36
     S = generate_dataset(fam, np.zeros(fam.feature_dim), 5, 6)
-    first = enumerate_outputs(fam)[0]
+    first = space(fam).outputs[0]
     assert all(y == first for y in S.outputs)
 
 
@@ -343,6 +343,9 @@ def test_protocol_radius_is_two_unless_given():
     ({"family": "set:3,6", "n_target": 0}, "n_target must be >= 1"),
     ({"family": "set:3,6", "neighborhood_k": -1}, "neighborhood_k must be >= 1"),
     ({"family": "set:3,6", "master_seed": -1}, "master_seed must be >= 0"),
+    ({"family": "set:3,6", "methods": ["crf_all", "svm_all", "crf_all"]},
+     "method crf_all is listed twice"),
+    ({"family": "set:3,6", "step0": 0.5}, "unknown config keys: step0"),
 ])
 def test_cli_train_rejects_bad_config_files(tmp_path, capsys, config, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -459,6 +462,26 @@ def test_cli_reproduce_summary_needs_two_repetitions(tmp_path, capsys, monkeypat
     assert exc.value.code == 2
     assert "--summary needs --reps 2 or more" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option,message", [
+    (["--methods", "crf_all,crf_all"], "method crf_all is listed twice"),
+    (["--families", "set:3,6,set:3,6"], "family set:3,6 is listed twice"),
+    (["--families", "set,tree,set:4,15"], "family set:4,15 is listed twice"),
+])
+def test_cli_reproduce_refuses_repeats(tmp_path, capsys, monkeypatch, option, message):
+    # a repeat would train twice and double the records behind each interval
+    def train(*args, **kwargs):
+        raise AssertionError("trained before the arguments were checked")
+
+    monkeypatch.setattr("randcrf.harness._train_method", train)
+    out = tmp_path / "m.csv"
+    assert cli.main(["reproduce", "--families", "set:3,6", "--reps", "2", *option,
+                     "--out", str(out), "--summary", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr() == ("", f"randcrf: {message}\n")
+    assert not out.exists()
+    # no methods at all stays legal
+    assert ExperimentConfig(family=SET36, methods=()).methods == ()
 
 
 def test_cli_reproduce_fails_when_a_method_fails(tmp_path, monkeypatch, capsys):

@@ -1,14 +1,33 @@
-"""What ``import randcrf`` loads: scipy.stats costs a process 0.6-1.0 s and
-about 70 MB, so only ``summarize`` imports it, on first use."""
+"""What ``import randcrf`` loads and exports.  scipy.stats costs a process
+0.6-1.0 s and about 70 MB, so only ``summarize`` imports it, on first use.
+Each exported name is one that the package's own modules or the benchmark
+use, or one kept on purpose below."""
 
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import randcrf
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+#: Exports that no code in src/ or perfbench/ uses, each kept for a reason.
+KEEP = {
+    # the paper's decoders, proposal, noise transform, feature map and
+    # gain, which the acceptance suite checks against their definitions
+    "crf_pmf", "perturbed_decode", "map_decode", "propose", "gumbel_from_uniform",
+    "feature_map", "log_gain", "log_gain_gradient", "make_input",
+    # the paper's diagnostics, which a run log is to report
+    "proposal_quality_frequency", "beta_condition", "sample_size_condition",
+    # the layout of the feature grid that inputs and weights are indexed by
+    "unordered_pair_index", "ordered_pair_index",
+}
 
 PROBE = """
 import json, sys
@@ -37,3 +56,26 @@ def test_import_leaves_scipy_to_summarize():
     assert probe["intervals"]
     for low, mean, high in probe["intervals"]:
         assert math.isfinite(low) and math.isfinite(high) and low < mean < high
+
+
+def _names_used(paths) -> set[str]:
+    """Identifiers read as names or attributes anywhere in the files (not
+    the names that ``def``, ``class`` or ``import`` bind)."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_or_kept():
+    exports = {name for name, value in vars(randcrf).items()
+               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    code = [p for p in (SRC / "randcrf").glob("*.py") if p.name != "__init__.py"]
+    used = _names_used(code + sorted((ROOT / "perfbench").glob("*.py")))
+    assert sorted(exports - used - KEEP) == [], "exported, but used only by tests"
+    assert sorted(KEEP - exports) == [], "kept, but not exported"
+    assert sorted(KEEP & used) == [], "kept, but now used: drop it from KEEP"

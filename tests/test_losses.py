@@ -3,12 +3,12 @@ import pytest
 
 from randcrf import (CandidateSets, DagFamily, Dataset, LossKind, ProposalConfig,
                      SpanningTreeFamily, SubsetFamily, augment, build_candidate_sets,
-                     enumerate_outputs, exact_crf_loss, full_candidate_set, hamming_loss,
-                     loss_gap, monte_carlo_loss, randomized_loss, space)
+                     exact_crf_loss, full_candidate_set, hamming_loss, loss_gap,
+                     randomized_loss, space)
 from randcrf.spaces import StructuredOutput
 
-from oracles import (augment_reference, exhaustive_map_decode, loss_gap_reference,
-                     random_instance, randomized_loss_reference)
+from oracles import (augment_reference, exhaustive_map_decode, hamming, loss_gap_reference,
+                     monte_carlo_loss, random_instance, randomized_loss_reference)
 
 SET36 = SubsetFamily(3, 6)  # r = 20
 
@@ -43,7 +43,7 @@ def test_exact_loss_uniform_weights():
 
 def test_exact_loss_singleton_space_is_zero():
     fam = SubsetFamily(2, 2)
-    y = enumerate_outputs(fam)[0]
+    y = space(fam).outputs[0]
     S = Dataset(fam, np.ones((3, fam.feature_dim), dtype=np.uint8), (y, y, y))
     assert exact_crf_loss(np.random.default_rng(1).normal(size=fam.feature_dim), S, 1.0).value == 0.0
 
@@ -237,7 +237,7 @@ def test_segment_losses_match_per_sample_loops(family):
 
 def test_monte_carlo_singleton_space_is_zero():
     fam = SubsetFamily(2, 2)
-    y = enumerate_outputs(fam)[0]
+    y = space(fam).outputs[0]
     S = Dataset(fam, np.ones((2, fam.feature_dim), dtype=np.uint8), (y, y))
     rep = monte_carlo_loss(np.zeros(fam.feature_dim), S, 1.0, draws=100, seed=0)
     assert rep.value == 0.0
@@ -245,7 +245,7 @@ def test_monte_carlo_singleton_space_is_zero():
 
 def test_monte_carlo_two_outputs_coin_flip():
     fam = SubsetFamily(1, 2)  # two outputs, no active pairs: always a tie broken by noise
-    y = enumerate_outputs(fam)[0]
+    y = space(fam).outputs[0]
     S = Dataset(fam, np.ones((1, fam.feature_dim), dtype=np.uint8), (y,))
     rep = monte_carlo_loss(np.zeros(fam.feature_dim), S, 1.0, draws=10 ** 6, seed=13)
     assert abs(rep.value - 0.5) < 0.0015  # three binomial standard errors
@@ -285,11 +285,10 @@ def test_hamming_loss_one_when_decoder_always_disjoint():
 
 @pytest.mark.parametrize("family", [SET36, SpanningTreeFamily(4)])
 def test_hamming_loss_matches_brute_force(family):
-    from randcrf import hamming as hdist
     rng = np.random.default_rng(16)
     S, _ = make_dataset(family, rng, m=6)
     w = rng.normal(size=family.feature_dim)
-    want = np.mean([hdist(exhaustive_map_decode(family, S.inputs[i], w), S.outputs[i])
+    want = np.mean([hamming(exhaustive_map_decode(family, S.inputs[i], w), S.outputs[i])
                     for i in range(S.m)])
     assert hamming_loss(w, S).value == pytest.approx(want)
 

@@ -3,8 +3,8 @@ import pytest
 from scipy import stats
 
 from randcrf import (Dataset, DagFamily, SpanningTreeFamily, SubsetFamily, alpha_schedule,
-                     augment, build_candidate_sets, enumerate_outputs, propose,
-                     proposal_quality_frequency, space)
+                     augment, build_candidate_sets, propose, proposal_quality_frequency,
+                     space)
 from randcrf.proposal import ProposalConfig
 
 from oracles import neighbors_k, propose_reference, random_instance
@@ -25,7 +25,7 @@ def make_dataset(family, rng, m=6):
 def test_dominant_observed_structure_is_returned():
     # w rewards exactly the observed pair, so no neighbor can match its score
     fam = SubsetFamily(2, 4)
-    y = enumerate_outputs(fam)[0]  # {0, 1}
+    y = space(fam).outputs[0]  # {0, 1}
     w = np.zeros(fam.feature_dim)
     w[0] = 3.0
     cfg = ProposalConfig(alpha=0.0, k=2)
@@ -38,7 +38,7 @@ def test_zero_weights_return_last_neighbor_in_canonical_order():
     # all scores tie, every comparison accepts, so the pass ends at the final
     # neighbor; for {1} in a three-element singleton family that is {2}
     fam = SubsetFamily(1, 3)
-    outs = enumerate_outputs(fam)
+    outs = space(fam).outputs
     cfg = ProposalConfig(alpha=0.0, k=2)
     x = np.ones(fam.feature_dim)
     got = propose(fam, x, outs[1], np.zeros(fam.feature_dim), cfg, np.random.default_rng(0))
@@ -51,7 +51,7 @@ def test_zero_weights_return_last_neighbor_in_canonical_order():
 def test_propose_matches_literal_reference(family):
     rng = np.random.default_rng(1)
     x_ones = np.ones(family.feature_dim)
-    outs = enumerate_outputs(family)
+    outs = space(family).outputs
     for trial in range(40):
         # integer weights make all score comparisons exact
         w = rng.integers(-3, 4, size=family.feature_dim).astype(np.float64)
@@ -68,7 +68,7 @@ def test_propose_matches_literal_reference(family):
 def exact_exploration_pmf(fam, x, w, k):
     """With alpha = 1 the start is uniform and the end is a deterministic
     function of it, so the output pmf follows by enumerating starts."""
-    outs = enumerate_outputs(fam)
+    outs = space(fam).outputs
     sp = space(fam)
     pmf = np.zeros(len(outs))
     for start in outs:
@@ -85,7 +85,7 @@ def test_exploration_distribution_matches_exhaustive_simulation(k, draws):
     w = rng.normal(size=fam.feature_dim)
     x = np.ones(fam.feature_dim)
     cfg = ProposalConfig(alpha=1.0, k=k)
-    outs = enumerate_outputs(fam)
+    outs = space(fam).outputs
     sp = space(fam)
 
     pmf = exact_exploration_pmf(fam, x, w, k)
@@ -271,7 +271,7 @@ def test_alpha_schedule_values():
 
 def test_ordering_equivalent_weights_give_identical_draws():
     rng = np.random.default_rng(17)
-    outs = enumerate_outputs(SET36)
+    outs = space(SET36).outputs
     x = np.ones(SET36.feature_dim)
     cfg = ProposalConfig(alpha=0.5, k=2)
     for trial in range(30):
@@ -295,7 +295,7 @@ def test_candidate_sets_ignore_other_samples_labels():
     # on the observed structures of other samples
     rng = np.random.default_rng(19)
     S = make_dataset(SET36, rng, m=5)
-    outs = enumerate_outputs(SET36)
+    outs = space(SET36).outputs
     j = 2
     swapped = list(S.outputs)
     swapped[j] = next(y for y in outs if y.components != S.outputs[j].components)

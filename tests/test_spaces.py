@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randcrf import (DagFamily, FamilyTooLargeError, SpanningTreeFamily, StructuredOutput,
-                     SubsetFamily, component_distance, enumerate_outputs, feature_map,
-                     hamming, make_input, space)
+                     SubsetFamily, feature_map, make_input, space)
 from randcrf import spaces
 from randcrf.spaces import ordered_pair_index, unordered_pair_index
 
 from oracles import (brute_force_dag_components, brute_force_tree_components,
-                     feature_indices_reference, incidence_reference, masks_reference,
-                     neighbor_csr_reference, neighbor_indices, neighbors_k)
+                     component_distance, feature_indices_reference, hamming,
+                     incidence_reference, masks_reference, neighbor_csr_reference,
+                     neighbor_indices, neighbors_k)
 
 SET_4_15 = SubsetFamily(4, 15)
 TREE6 = SpanningTreeFamily(6)
@@ -44,24 +44,24 @@ def test_ordered_pair_index_is_a_bijection():
 
 
 def test_subset_4_of_15_has_1365_outputs():
-    assert len(enumerate_outputs(SET_4_15)) == 1365
+    assert len(space(SET_4_15).outputs) == 1365
 
 
 def test_singleton_subsets():
-    outs = enumerate_outputs(SubsetFamily(1, 3))
+    outs = space(SubsetFamily(1, 3)).outputs
     assert [y.components for y in outs] == [(0,), (1,), (2,)]
 
 
 @pytest.mark.parametrize("v", [3, 4, 5, 6])
 def test_tree_enumeration_matches_brute_force(v):
-    got = {y.components for y in enumerate_outputs(SpanningTreeFamily(v))}
+    got = {y.components for y in space(SpanningTreeFamily(v)).outputs}
     assert got == brute_force_tree_components(v)
     assert len(got) == v ** (v - 1)
 
 
 @pytest.mark.parametrize("v,p", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
 def test_dag_enumeration_matches_brute_force(v, p):
-    got = {y.components for y in enumerate_outputs(DagFamily(v, p))}
+    got = {y.components for y in space(DagFamily(v, p)).outputs}
     assert got == brute_force_dag_components(v, p)
 
 
@@ -86,8 +86,8 @@ def test_is_valid_accepts_exactly_the_brute_force_structures(family):
 
 @pytest.mark.parametrize("family", [SubsetFamily(3, 6), SpanningTreeFamily(4), DagFamily(3, 2)])
 def test_enumeration_sorted_unique_and_valid(family):
-    outs = enumerate_outputs(family)
-    keys = [y.canonical_key for y in outs]
+    outs = space(family).outputs
+    keys = [y.components for y in outs]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     for y in outs:
@@ -97,9 +97,9 @@ def test_enumeration_sorted_unique_and_valid(family):
 
 def test_enumeration_budget_is_enforced_not_truncated():
     with pytest.raises(FamilyTooLargeError):
-        enumerate_outputs(SpanningTreeFamily(12))
+        space(SpanningTreeFamily(12))
     with pytest.raises(FamilyTooLargeError):
-        enumerate_outputs(SubsetFamily(8, 30))  # 5,852,925 outputs
+        space(SubsetFamily(8, 30))  # 5,852,925 outputs
 
 
 def test_num_outputs_reported_by_family():
@@ -123,7 +123,7 @@ def test_feature_map_single_pair():
 
 def test_feature_map_zero_input_gives_zero_vector():
     fam = SubsetFamily(3, 6)
-    y = enumerate_outputs(fam)[5]
+    y = space(fam).outputs[5]
     assert not feature_map(fam, np.zeros(fam.feature_dim), y).any()
 
 
@@ -136,7 +136,7 @@ def test_feature_map_counts_pairs_inside_the_subset():
 def test_feature_map_nonzero_entries_are_exactly_one():
     rng = np.random.default_rng(0)
     for fam in (SubsetFamily(3, 6), SpanningTreeFamily(4), DagFamily(3, 2)):
-        outs = enumerate_outputs(fam)
+        outs = space(fam).outputs
         for _ in range(20):
             x = rng.integers(0, 2, fam.feature_dim)
             y = outs[rng.integers(len(outs))]
@@ -147,7 +147,7 @@ def test_feature_map_nonzero_entries_are_exactly_one():
 
 def test_feature_map_tree_fires_on_joined_node_pairs():
     fam = SpanningTreeFamily(3)
-    y = next(y for y in enumerate_outputs(fam)
+    y = next(y for y in space(fam).outputs
              if {fam.edge_of(c) for c in y.components} == {(0, 1), (1, 2)})
     phi = feature_map(fam, np.ones(3), y)
     assert phi[unordered_pair_index(0, 1, 3)] == 1.0
@@ -157,7 +157,7 @@ def test_feature_map_tree_fires_on_joined_node_pairs():
 
 def test_feature_map_rejects_wrong_dimension():
     with pytest.raises(ValueError):
-        feature_map(SET_4_15, np.ones(10), enumerate_outputs(SET_4_15)[0])
+        feature_map(SET_4_15, np.ones(10), space(SET_4_15).outputs[0])
 
 
 def test_feature_map_rejects_invalid_structures():
@@ -175,7 +175,7 @@ def test_feature_map_rejects_invalid_structures():
 
 
 def test_hamming_identical_is_zero():
-    y = enumerate_outputs(SET_4_15)[17]
+    y = space(SET_4_15).outputs[17]
     assert hamming(y, y) == 0.0
 
 
@@ -187,7 +187,7 @@ def test_hamming_disjoint_subsets_is_one():
 
 
 def test_hamming_tree_single_edge_swap_is_point_two():
-    outs = enumerate_outputs(TREE6)
+    outs = space(TREE6).outputs
     a = outs[0]
     swapped = next(b for b in outs if component_distance(a, b) == 2)
     assert hamming(a, swapped) == pytest.approx(0.2)
@@ -196,14 +196,14 @@ def test_hamming_tree_single_edge_swap_is_point_two():
 def test_dag_normalizer_is_twice_max_edges():
     assert DagFamily(5, 2).hamming_normalizer == 14
     # two edge-disjoint maximal DAGs realize the normalizer
-    outs = enumerate_outputs(DagFamily(3, 2))
+    outs = space(DagFamily(3, 2)).outputs
     assert max(component_distance(a, b) for a in outs for b in outs) \
         == DagFamily(3, 2).hamming_normalizer
 
 
 @pytest.mark.parametrize("family", [SubsetFamily(2, 5), SpanningTreeFamily(3), DagFamily(3, 1)])
 def test_hamming_is_a_metric(family):
-    outs = enumerate_outputs(family)
+    outs = space(family).outputs
     for a in outs:
         assert hamming(a, a) == 0.0
     rng = np.random.default_rng(1)
@@ -217,8 +217,20 @@ def test_hamming_is_a_metric(family):
 
 def test_hamming_rejects_mixed_families():
     with pytest.raises(ValueError):
-        hamming(enumerate_outputs(SubsetFamily(2, 5))[0],
-                enumerate_outputs(SubsetFamily(2, 6))[0])
+        hamming(space(SubsetFamily(2, 5)).outputs[0],
+                space(SubsetFamily(2, 6)).outputs[0])
+
+
+@pytest.mark.parametrize("family", [SubsetFamily(3, 6), SpanningTreeFamily(4), DagFamily(3, 2)],
+                         ids=repr)
+def test_pair_distances_match_component_distance(family):
+    # the packed-mask distances behind hamming_loss and the hinge terms,
+    # against set differences of the component tuples
+    sp = space(family)
+    idx = np.arange(sp.size)
+    got = sp.pair_distances(idx[:, None], idx[None, :])
+    want = [[component_distance(a, b) for b in sp.outputs] for a in sp.outputs]
+    np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +238,22 @@ def test_hamming_rejects_mixed_families():
 
 
 def test_neighbors_k_zero_is_empty():
-    y = enumerate_outputs(SET_4_15)[0]
+    y = space(SET_4_15).outputs[0]
     assert neighbors_k(SET_4_15, y, 0) == []
     assert not space(SET_4_15).neighbor_csr(0)[1].size
 
 
 def test_neighbors_k_saturates_to_everything_but_self():
     fam = SubsetFamily(2, 5)
-    y = enumerate_outputs(fam)[3]
+    y = space(fam).outputs[3]
     nb = neighbors_k(fam, y, fam.hamming_normalizer)
-    assert len(nb) == len(enumerate_outputs(fam)) - 1
+    assert len(nb) == len(space(fam).outputs) - 1
     indptr, _ = space(fam).neighbor_csr(fam.hamming_normalizer)
     assert (np.diff(indptr) == len(nb)).all()
 
 
 def test_subset_single_swap_neighbor_count():
-    y = enumerate_outputs(SET_4_15)[100]
+    y = space(SET_4_15).outputs[100]
     assert len(neighbors_k(SET_4_15, y, 2)) == 4 * 11
     indptr, _ = space(SET_4_15).neighbor_csr(2)
     assert (np.diff(indptr) == 4 * 11).all()
@@ -253,7 +265,7 @@ def test_neighbors_match_direct_distance_filter(family, k, monkeypatch):
     # a fresh space's neighbor table, row by row, against the outputs that
     # component_distance puts within k
     monkeypatch.setattr(spaces, "_SPACE_CACHE", {})
-    outs = enumerate_outputs(family)
+    outs = space(family).outputs
     want = [[z.components for z in outs
              if z.components != y.components and component_distance(y, z) <= k] for y in outs]
     assert [[n.components for n in neighbors_k(family, y, k)] for y in outs] == want

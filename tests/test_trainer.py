@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randcrf import (CandidateSets, Dataset, Method, SubsetFamily, TrainConfig,
-                     beta_schedule, enumerate_outputs, exact_crf_loss, full_candidate_set,
-                     hamming, hinge_loss, log_gain, log_gain_gradient, log_likelihood,
-                     log_likelihood_gradient, soft_threshold, space, train_crf, train_svm)
+                     beta_schedule, exact_crf_loss, full_candidate_set, hinge_loss, log_gain,
+                     log_gain_gradient, log_likelihood_gradient, soft_threshold, space,
+                     train_crf, train_svm)
 from randcrf.proposal import ProposalConfig
 
-from oracles import random_instance, score_of
+from oracles import hamming, log_likelihood, random_instance, score_of
 
 SET25 = SubsetFamily(2, 5)  # r = 10, d = 10
 SET36 = SubsetFamily(3, 6)
@@ -110,7 +110,7 @@ def test_gradient_full_space_path_agrees_with_segment_path():
 def test_gradient_vanishes_as_beta_shrinks_on_separated_instance():
     rng = np.random.default_rng(3)
     fam = SET25
-    outs = enumerate_outputs(fam)
+    outs = space(fam).outputs
     x = np.ones(fam.feature_dim, dtype=np.uint8)
     y = outs[0]
     w = np.zeros(fam.feature_dim)
@@ -175,7 +175,7 @@ def test_hinge_zero_weights_is_mean_max_distortion():
     S = make_dataset(SET36, rng, m=4)
     full = [full_candidate_set(SET36)] * S.m
     got = hinge_loss(np.zeros(SET36.feature_dim), S, full)
-    want = np.mean([max(hamming(z, y) for z in enumerate_outputs(SET36)) for y in S.outputs])
+    want = np.mean([max(hamming(z, y) for z in space(SET36).outputs) for y in S.outputs])
     assert got.value == pytest.approx(want)
 
 
@@ -218,7 +218,7 @@ def test_huge_l1_penalty_returns_zero_weights():
 
 def test_exact_crf_objective_decreases_on_separable_instance():
     fam = SET25
-    outs = enumerate_outputs(fam)
+    outs = space(fam).outputs
     x = np.ones(fam.feature_dim, dtype=np.uint8)
     S = Dataset(fam, x[None, :], (outs[0],))
     w, trace = train_crf(S, TrainConfig(method=Method.CRF_ALL, l1_lambda=0.0,
@@ -230,7 +230,7 @@ def test_exact_crf_objective_decreases_on_separable_instance():
 
 def test_svm_objective_trends_down_on_separable_instance():
     fam = SET25
-    outs = enumerate_outputs(fam)
+    outs = space(fam).outputs
     x = np.ones(fam.feature_dim, dtype=np.uint8)
     S = Dataset(fam, x[None, :], (outs[0],))
     _, trace = train_svm(S, TrainConfig(method=Method.SVM_ALL, l1_lambda=0.0, iterations=12))
