@@ -9,14 +9,12 @@ experiment harness.
 
 from .bounds import (BoundInputs, approximation_error, beta_condition, generalization_bound,
                      sample_size_condition, statistical_error, total_bound)
-from .gumbel_crf import (CandidateSets, CrfDistribution, WeightVector, as_candidate_sets,
-                         as_weights, crf_pmf, full_candidate_set, gumbel_from_uniform,
-                         map_decode, perturbed_decode)
+from .gumbel_crf import (CandidateSets, CrfDistribution, as_candidate_sets, as_weights, crf_pmf,
+                         full_candidate_set, gumbel_from_uniform, map_decode, perturbed_decode)
 from .harness import (ExperimentConfig, MetricsRecord, SummaryRow, family_label,
                       generate_dataset, generate_ground_truth, load_dataset, load_weights,
                       parse_family, parse_family_list, run_experiment, run_repetition,
-                      save_dataset, save_weights, summarize, write_metrics_csv,
-                      write_summary_csv)
+                      save_dataset, save_weights, summarize, write_csv)
 from .losses import (Dataset, LossKind, LossReport, exact_crf_loss, hamming_loss, loss_gap,
                      randomized_loss)
 from .proposal import (ProposalConfig, alpha_schedule, augment, build_candidate_sets,

@@ -4,7 +4,7 @@ tables, and the full synthetic comparison."""
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 
@@ -27,10 +27,12 @@ def _add_gen_data(sub):
 
 
 def _cmd_gen_data(args) -> int:
+    if args.m < 1:
+        raise ValueError(f"--m must be >= 1, got {args.m}")
     family = harness.parse_family(args.family)
-    rng = np.random.default_rng(args.seed)
-    w_star = harness.generate_ground_truth(family, rng)
-    S = harness.generate_dataset(family, w_star, args.m, rng)
+    # the streams of repetition 0 of `reproduce --seed`
+    w_star = harness.generate_ground_truth(family, harness.stream(args.seed, 0, "ground_truth"))
+    S = harness.generate_dataset(family, w_star, args.m, harness.stream(args.seed, 0, "train_x"))
     harness.save_dataset(args.out, S)
     if args.weights_out:
         harness.save_weights(args.weights_out, w_star)
@@ -38,10 +40,16 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+#: ExperimentConfig keys that only ``reproduce`` reads: ``train`` takes m from
+#: its data file and trains the one ``--method``.
+_PROTOCOL_KEYS = ("m_train", "m_test", "repetitions", "methods")
+
+
 def _add_train(sub):
     p = sub.add_parser("train", help="train one method on a dataset")
     p.add_argument("--method", required=True, choices=[m.value for m in Method])
-    p.add_argument("--config", required=True, help="JSON file mirroring ExperimentConfig")
+    p.add_argument("--config", required=True,
+                   help="JSON file of ExperimentConfig keys other than " + ", ".join(_PROTOCOL_KEYS))
     p.add_argument("--data", required=True)
     p.add_argument("--out-weights", required=True)
     p.add_argument("--trace", help="per-iteration CSV")
@@ -51,20 +59,25 @@ def _add_train(sub):
 def _cmd_train(args) -> int:
     with open(args.config) as fh:
         try:
-            cfg = harness.ExperimentConfig.from_dict(json.load(fh))
+            raw = json.load(fh)
+            cfg = harness.ExperimentConfig.from_dict(raw)
+            protocol = [key for key in _PROTOCOL_KEYS if key in raw]
+            if protocol:
+                raise ValueError(f"train takes m from --data and the method from --method; "
+                                 f"drop {', '.join(protocol)}")
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
     method = Method(args.method)
     S = harness.load_dataset(args.data, cfg.family)
-    w_hat, trace = harness._train_method(method, S, cfg, cfg.master_seed)
+    # n_target and beta default from the data's m, as reproduce's do from m_train
+    cfg = dataclasses.replace(cfg, m_train=S.m)
+    w_hat, trace = harness._train_method(
+        method, S, cfg, harness.stream_seed(cfg.master_seed, 0, "proposal", method))
     harness.save_weights(args.out_weights, w_hat)
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_CSV_HEADER)
-            writer.writerows(trace_csv_rows(trace, args.run_id, method))
+        harness.write_csv(args.trace, TRACE_CSV_HEADER, trace_csv_rows(trace, args.run_id, method))
     print(f"trained {method.value}: final objective {trace.rows[-1].objective:.6f}, "
-          f"support {w_hat.support_size}")
+          f"support {int(np.count_nonzero(w_hat))}")
     return 0
 
 
@@ -86,16 +99,13 @@ def _cmd_eval(args) -> int:
     family = harness.parse_family(args.family)
     S = harness.load_dataset(args.data, family)
     w = harness.load_weights(args.weights)
-    if w.values.size != family.feature_dim:
-        raise ValueError(f"{args.weights}: {w.values.size} weights, but "
+    if w.size != family.feature_dim:
+        raise ValueError(f"{args.weights}: {w.size} weights, but "
                          f"{args.family} has {family.feature_dim} features")
     beta = args.beta if args.beta is not None else beta_schedule(S.m, space(family).size)
     reports = [exact_crf_loss(w, S, beta), hamming_loss(w, S)]
-    with open(args.metrics, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOSS_CSV_HEADER)
-        for rep in reports:
-            writer.writerow(rep.csv_row(args.run_id, args.method))
+    harness.write_csv(args.metrics, LOSS_CSV_HEADER,
+                      [rep.csv_row(args.run_id, args.method) for rep in reports])
     for rep in reports:
         print(f"{rep.kind.value}: {rep.value:.6f}")
     return 0
@@ -133,10 +143,7 @@ def _cmd_bounds(args) -> int:
         cells = [f"{v:.6g}" if isinstance(v, float) else str(v) for v in row]
         print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        harness.write_csv(args.out, header, rows)
     return 0
 
 
@@ -171,11 +178,12 @@ def _cmd_reproduce(args) -> int:
         present = {(r.repetition, r.method) for r in records}
         missing += [(label, rep, m.value) for rep in range(args.reps) for m in methods
                     if (rep, m.value) not in present]
-    harness.write_metrics_csv(args.out, all_records)
+    harness.write_csv(args.out, harness.METRICS_CSV_HEADER, map(dataclasses.astuple, all_records))
     for label, rep, method in missing:
         print(f"failed: family {label}, repetition {rep}, method {method}", file=sys.stderr)
     if args.summary:
-        harness.write_summary_csv(args.summary, harness.summarize(all_records))
+        harness.write_csv(args.summary, harness.SUMMARY_CSV_HEADER,
+                          map(dataclasses.astuple, harness.summarize(all_records)))
     print(f"wrote {len(all_records)} records to {args.out}")
     return 1 if missing else 0
 

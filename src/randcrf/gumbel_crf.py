@@ -8,7 +8,6 @@ perturbed decoder's output distribution has the closed form computed by
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -17,30 +16,9 @@ import numpy as np
 from .spaces import EnumeratedSpace, StructureFamily, StructuredOutput, input_bits, space
 
 
-@dataclass(frozen=True, eq=False)
-class WeightVector:
-    """Weights with sparsity metadata (support size, minimum nonzero magnitude)."""
-
-    values: np.ndarray
-
-    @property
-    def l1_norm(self) -> float:
-        return float(np.abs(self.values).sum())
-
-    @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.values))
-
-    @property
-    def w_min(self) -> float:
-        """Minimum nonzero |w_j|; inf for the zero vector."""
-        nz = np.abs(self.values[self.values != 0])
-        return float(nz.min()) if nz.size else math.inf
-
-
 def as_weights(w) -> np.ndarray:
-    """Accept a WeightVector or a raw array."""
-    return np.asarray(w.values if isinstance(w, WeightVector) else w, dtype=np.float64)
+    """Weights as a float64 array."""
+    return np.asarray(w, dtype=np.float64)
 
 
 def full_candidate_set(family: StructureFamily) -> tuple[StructuredOutput, ...]:
@@ -154,7 +132,7 @@ def map_decode(family: StructureFamily, x, w) -> StructuredOutput:
     sp = space(family)
     if sp.size == 0:
         raise ValueError("empty output space")
-    s = sp.scores(x, as_weights(w))
+    s = _support_scores(family, x, as_weights(w), None)
     return sp.outputs[int(np.argmax(s))]
 
 
@@ -178,13 +156,18 @@ def perturbed_decode(family: StructureFamily, x, w, gamma,
 def _support_scores(family: StructureFamily, x, w,
                     support: Sequence[StructuredOutput] | None) -> np.ndarray:
     """Scores of the support's outputs in stored order; of all outputs for
-    None or the space's own ``outputs`` tuple.  A repeated output is an error."""
+    None or the space's own ``outputs`` tuple.  The full space is scored by
+    ``score_matrix``, a listed support by the candidate-set gather, so each
+    candidate gets the bits the trainers and the restricted losses give it.
+    A repeated output is an error."""
     sp = space(family)
+    bits = input_bits(family, x)[None, :]
     if support is None or support is sp.outputs:
-        return sp.scores(x, w)
+        return sp.score_matrix(bits, w)[:, 0]
     idx = np.array([sp.index(y) for y in support], dtype=np.int64)
     _distinct(idx)
-    return sp.incidence[idx] @ (input_bits(family, x) * w)
+    xw_pad = _pad_features(bits * w)
+    return _sum_at(xw_pad, _feature_positions(sp, xw_pad.shape[1], 0, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +188,6 @@ class CrfDistribution:
             raise ValueError("probs and support lengths differ")
         if (self.probs < 0).any() or abs(float(self.probs.sum()) - 1.0) > 1e-12:
             raise ValueError("probs must be a distribution (nonnegative, summing to 1)")
-
-    def prob_of(self, y: StructuredOutput) -> float:
-        return float(self.probs[self.support.index(y)])
 
 
 def crf_pmf(family: StructureFamily, x, w, support: Sequence[StructuredOutput],

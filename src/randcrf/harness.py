@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import WeightVector, as_weights, full_candidate_set
+from .gumbel_crf import as_weights, full_candidate_set
 from .losses import Dataset, exact_crf_loss, hamming_loss
 from .proposal import ProposalConfig, warm_proposal_tables
 from .spaces import (DagFamily, SpanningTreeFamily, StructureFamily, StructuredOutput,
@@ -56,21 +56,23 @@ def stream_seed(master_seed: int, repetition: int, name: str, method: Method | N
 # synthetic data
 
 
-def generate_ground_truth(family: StructureFamily, seed) -> WeightVector:
+def generate_ground_truth(family: StructureFamily, seed) -> np.ndarray:
     """Dense N(0, 100) draws with all but ceil(sqrt(d)) coordinates zeroed,
-    the survivors chosen uniformly."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    the survivors chosen uniformly.  ``seed`` is anything
+    ``np.random.default_rng`` takes; a Generator is drawn from in place."""
+    rng = np.random.default_rng(seed)
     d = family.feature_dim
     values = rng.normal(0.0, 10.0, size=d)
     keep = rng.choice(d, size=math.ceil(math.sqrt(d)), replace=False)
     sparse = np.zeros(d)
     sparse[keep] = values[keep]
-    return WeightVector(sparse)
+    return sparse
 
 
 def generate_dataset(family: StructureFamily, w_star, m: int, seed) -> Dataset:
-    """m pairs with Bernoulli(1/2) inputs labelled by the exact decoder under w_star."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    """m pairs with Bernoulli(1/2) inputs labelled by the exact decoder under
+    w_star; ``seed`` as for ``generate_ground_truth``."""
+    rng = np.random.default_rng(seed)
     sp = space(family)
     X = rng.integers(0, 2, size=(m, family.feature_dim), dtype=np.uint8)
     pred = np.argmax(sp.score_matrix(X.astype(np.float64), as_weights(w_star)), axis=0)
@@ -193,7 +195,7 @@ TIMING_COLUMNS = ("train_seconds",)
 
 
 def _train_method(method: Method, S_train: Dataset, cfg: ExperimentConfig,
-                  seed: int) -> tuple[WeightVector, TrainTrace]:
+                  seed: int) -> tuple[np.ndarray, TrainTrace]:
     tc = TrainConfig(method=method, l1_lambda=cfg.l1_lambda, iterations=cfg.iterations,
                      beta=cfg.beta, seed=seed)
     pc = ProposalConfig(alpha=0.0, k=cfg.resolved_k(), n_target=cfg.resolved_n_target())
@@ -254,8 +256,8 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord
                 train_seconds=seconds,
                 set_size_mean=final.set_size_mean,
                 set_size_max=final.set_size_max,
-                weight_support=w_hat.support_size,
-                weight_l1=w_hat.l1_norm,
+                weight_support=int(np.count_nonzero(w_hat)),
+                weight_l1=float(np.abs(w_hat).sum()),
                 beta=beta,
                 train_loss_support="full" if trace.final_candidate_sets is None else "final_sets",
             ))
@@ -435,7 +437,7 @@ def save_weights(path: str, w) -> None:
         json.dump(list(map(float, as_weights(w))), fh)
 
 
-def load_weights(path: str) -> WeightVector:
+def load_weights(path: str) -> np.ndarray:
     """Read the JSON list of ``save_weights``: a flat, non-empty list of
     finite numbers, else a ValueError that names the file."""
     with open(path) as fh:
@@ -446,20 +448,12 @@ def load_weights(path: str) -> WeightVector:
     if not (isinstance(values, list) and values
             and all(type(v) is float and math.isfinite(v) for v in values)):
         raise ValueError(f"{path}: weights must be a flat, non-empty JSON list of finite numbers")
-    return WeightVector(np.array(values))
+    return np.array(values)
 
 
-def write_metrics_csv(path: str, records: Sequence[MetricsRecord]) -> None:
+def write_csv(path: str, header: Sequence[str], rows) -> None:
+    """The header line, then one line per row (an iterable of sequences)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_HEADER)
-        for r in records:
-            writer.writerow([getattr(r, k) for k in METRICS_CSV_HEADER])
-
-
-def write_summary_csv(path: str, rows: Sequence[SummaryRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_CSV_HEADER)
-        for r in rows:
-            writer.writerow([getattr(r, k) for k in SUMMARY_CSV_HEADER])
+        writer.writerow(header)
+        writer.writerows(rows)

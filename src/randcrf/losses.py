@@ -22,7 +22,7 @@ class LossKind(Enum):
     HINGE = "hinge"
 
 
-LOSS_CSV_HEADER = ("run_id", "method", "kind", "value", "stderr")
+LOSS_CSV_HEADER = ("run_id", "method", "kind", "value")
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,11 +32,9 @@ class LossReport:
     value: float
     per_sample: np.ndarray
     kind: LossKind
-    stderr: float | None = None
 
     def csv_row(self, run_id: str, method: str) -> tuple:
-        return (run_id, method, self.kind.value, self.value,
-                "" if self.stderr is None else self.stderr)
+        return (run_id, method, self.kind.value, self.value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -121,20 +121,15 @@ def warm_proposal_tables(family: StructureFamily, k: int) -> None:
 
 def propose(family: StructureFamily, x, y_observed: StructuredOutput, w,
             cfg: ProposalConfig, rng: np.random.Generator) -> StructuredOutput:
-    """One proposal draw.
+    """One proposal draw: the batch draw of ``build_candidate_sets`` for one
+    sample and one draw, whose key is then the end's index.
 
     Consumes exactly two uniforms per call (exploration coin, start index);
     ``build_candidate_sets`` relies on this fixed pattern to batch draws.
     """
     sp = space(family)
-    u = rng.random(2)
-    if u[0] < cfg.alpha:
-        start = int(u[1] * sp.size)
-    else:
-        start = sp.index(y_observed)
     xw_pad = _pad_features((input_bits(family, x) * as_weights(w))[None, :])
-    end = _greedy_pairs(sp, xw_pad, np.zeros(1, dtype=np.int64),
-                        np.array([start], dtype=np.int64), cfg.k)
+    end = _batch_end_keys(sp, xw_pad, np.array([sp.index(y_observed)]), cfg.alpha, cfg.k, 1, rng)
     return sp.outputs[int(end[0])]
 
 

@@ -190,10 +190,6 @@ class SpanningTreeFamily:
     def num_outputs(self) -> int:
         return self.num_nodes ** (self.num_nodes - 1)
 
-    def edge_of(self, component: int) -> tuple[int, int]:
-        """Decode a component index into a (parent, child) node pair."""
-        return _ordered_pair(component, self.num_nodes)
-
     def is_valid(self, components: tuple[int, ...]) -> bool:
         v = self.num_nodes
         return len(components) == v - 1 and _valid_parent_sets(components, v, 1)
@@ -243,10 +239,6 @@ class DagFamily:
     @property
     def num_outputs(self) -> int:
         return space(self).size
-
-    def edge_of(self, component: int) -> tuple[int, int]:
-        """Decode a component index into a (parent, child) node pair."""
-        return _ordered_pair(component, self.num_nodes)
 
     def is_valid(self, components: tuple[int, ...]) -> bool:
         return _valid_parent_sets(components, self.num_nodes, self.max_parents)
@@ -380,7 +372,8 @@ class EnumeratedSpace:
 
     ``incidence`` is the (size x feature_dim) 0/1 matrix whose row y is the
     feature-grid incidence of output y, so the feature vector of (x, y) is
-    ``incidence[y] * x`` and scores for every output are a single mat-vec.
+    ``incidence[y] * x`` and ``score_matrix`` scores every output for a batch
+    of inputs in one matrix product.
     """
 
     def __init__(self, family: StructureFamily, outputs: Sequence[StructuredOutput]):
@@ -463,10 +456,6 @@ class EnumeratedSpace:
             return self.index_of[y.components]
         except KeyError:
             raise ValueError(f"{y.components} is not a valid structure of {self.family}") from None
-
-    def scores(self, x, w: np.ndarray) -> np.ndarray:
-        """Linear scores of every output for one input."""
-        return self.incidence @ (input_bits(self.family, x) * w)
 
     def score_matrix(self, bit_matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(size x m) scores for a batch of inputs given as an (m x d) bit matrix."""

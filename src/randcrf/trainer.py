@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import (CandidateSets, WeightVector, _feature_positions, _pad_features,
-                         _segment_pmfs, _sum_at, as_candidate_sets, as_weights, pmf_matrix)
+from .gumbel_crf import (CandidateSets, _feature_positions, _pad_features, _segment_pmfs,
+                         _sum_at, as_candidate_sets, as_weights, pmf_matrix)
 from .losses import Dataset, LossKind, LossReport, _bit_matrix, _true_indices
 from .proposal import ProposalConfig, _augment_keys, _batch_end_keys, alpha_schedule
 from .spaces import StructuredOutput, space
@@ -217,7 +217,7 @@ def hinge_loss(w, S: Dataset, candidates: Sequence[Sequence[StructuredOutput]]) 
 
 
 def train_crf(S: Dataset, cfg: TrainConfig,
-              proposal_cfg: ProposalConfig | None = None) -> tuple[WeightVector, TrainTrace]:
+              proposal_cfg: ProposalConfig | None = None) -> tuple[np.ndarray, TrainTrace]:
     """Ascend the (restricted) log-likelihood with an L1 proximal step."""
     if cfg.method not in (Method.CRF_ALL, Method.CRF_RAND):
         raise ValueError(f"train_crf got method {cfg.method}")
@@ -225,7 +225,7 @@ def train_crf(S: Dataset, cfg: TrainConfig,
 
 
 def train_svm(S: Dataset, cfg: TrainConfig,
-              proposal_cfg: ProposalConfig | None = None) -> tuple[WeightVector, TrainTrace]:
+              proposal_cfg: ProposalConfig | None = None) -> tuple[np.ndarray, TrainTrace]:
     """Subgradient descent on the structured hinge with an L1 proximal step."""
     if cfg.method not in (Method.SVM_ALL, Method.SVM_RAND):
         raise ValueError(f"train_svm got method {cfg.method}")
@@ -286,4 +286,4 @@ def _train(S: Dataset, cfg: TrainConfig, proposal_cfg):
             size_mean, size_max = float(sp.size), sp.size
         rows.append(IterationStats(t, objective, float(np.abs(g).max()),
                                    time.perf_counter() - tic, size_mean, size_max))
-    return WeightVector(w), TrainTrace(tuple(rows), sets)
+    return w, TrainTrace(tuple(rows), sets)

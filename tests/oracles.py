@@ -81,6 +81,16 @@ def brute_force_dag_components(v, max_parents):
     return found
 
 
+def edge_of(family, component):
+    """The (parent, child) node pair of a tree or DAG edge component."""
+    return all_ordered_pairs(family.num_nodes)[component]
+
+
+def prob_of(dist, y):
+    """The probability a ``CrfDistribution`` gives output ``y``."""
+    return float(dist.probs[dist.support.index(y)])
+
+
 def score_of(family, x, y, w):
     return float(feature_map(family, x, y) @ np.asarray(w, dtype=np.float64))
 
@@ -181,7 +191,7 @@ def incidence_row_reference(family, components):
             row[unordered_pair_index(a, b, family.universe)] = 1.0
     elif isinstance(family, SpanningTreeFamily):
         for c in components:
-            p, q = family.edge_of(c)
+            p, q = edge_of(family, c)
             row[unordered_pair_index(p, q, family.num_nodes)] = 1.0
     else:
         assert isinstance(family, DagFamily)
@@ -272,8 +282,8 @@ def augment_reference(sets, S):
 
 def monte_carlo_loss(w, S, beta, draws, seed):
     """Empirical zero-one loss of the perturbed decoder over fresh Gumbel
-    draws: an estimate of the exact CRF loss, reported with the binomial
-    standard error of the dataset mean."""
+    draws: an estimate of the exact CRF loss as an ``EXACT_CRF`` report,
+    returned with the binomial standard error of the dataset mean."""
     if draws < 1:
         raise ValueError("draws must be >= 1")
     sp = space(S.family)
@@ -294,7 +304,7 @@ def monte_carlo_loss(w, S, beta, draws, seed):
             done += n
         per[i] = misses / draws
     stderr = float(np.sqrt((per * (1 - per) / draws).sum()) / S.m)
-    return LossReport(float(per.mean()), per, LossKind.EXACT_CRF, stderr)
+    return LossReport(float(per.mean()), per, LossKind.EXACT_CRF), stderr
 
 
 def log_likelihood(w, S, sets, beta):

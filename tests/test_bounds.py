@@ -4,9 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from randcrf import (BoundInputs, WeightVector, approximation_error, beta_condition,
-                     generalization_bound, sample_size_condition, statistical_error,
-                     total_bound)
+from randcrf import (BoundInputs, approximation_error, beta_condition, generalization_bound,
+                     sample_size_condition, statistical_error, total_bound)
 from randcrf.bounds import BOUND_TABLE_HEADER, bound_table
 
 mpmath.mp.dps = 50
@@ -119,11 +118,15 @@ def test_total_bound_with_zero_weights_collapses():
 
 
 def test_beta_condition():
-    w = WeightVector(np.array([2.0, 0.0, -0.5]))
+    # ||w||_1 = 2.5 and the smallest nonzero |w_j| is 0.5
+    w = np.array([2.0, 0.0, -0.5])
     m, r = 100, 1365
-    cap = min(w.l1_norm / math.log(m), w.w_min / math.log((r - 1) * (math.sqrt(m) - 1)))
+    cap = min(2.5 / math.log(m), 0.5 / math.log((r - 1) * (math.sqrt(m) - 1)))
     assert beta_condition(cap - 1e-9, w, m, r)
     assert not beta_condition(cap + 1e-9, w, m, r)
+    # the zero vector has no nonzero entry (w_min = inf) and ||w||_1 = 0
+    assert beta_condition(0.0, np.zeros(3), m, r)
+    assert not beta_condition(1e-12, np.zeros(3), m, r)
     with pytest.raises(ValueError):
         beta_condition(0.1, w, 1, r)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from randcrf import (DagFamily, ExperimentConfig, Method, SpanningTreeFamily, Su
                      load_weights, parse_family, run_experiment, run_repetition, save_dataset,
                      save_weights, space, summarize)
 from randcrf.harness import (METRIC_COLUMNS, METRICS_CSV_HEADER, MetricsRecord,
-                             default_neighborhood_radius, write_metrics_csv, write_summary_csv)
+                             default_neighborhood_radius, write_csv)
 from randcrf import cli
 
 from oracles import exhaustive_map_decode
@@ -27,8 +28,8 @@ SET36 = SubsetFamily(3, 6)
 def test_ground_truth_support_size():
     for family in (SubsetFamily(4, 15), SpanningTreeFamily(6), DagFamily(5, 2)):
         w = generate_ground_truth(family, 0)
-        assert w.support_size == math.ceil(math.sqrt(family.feature_dim))
-        assert w.values.shape == (family.feature_dim,)
+        assert np.count_nonzero(w) == math.ceil(math.sqrt(family.feature_dim))
+        assert w.shape == (family.feature_dim,) and w.dtype == np.float64
 
 
 def test_ground_truth_entry_variance():
@@ -37,13 +38,13 @@ def test_ground_truth_entry_variance():
     entries = []
     for _ in range(10_000):
         w = generate_ground_truth(fam, rng)
-        entries.extend(w.values[w.values != 0])
+        entries.extend(w[w != 0])
     assert np.var(entries) == pytest.approx(100.0, abs=5.0)
 
 
 def test_ground_truth_supports_differ_across_seeds():
     fam = SubsetFamily(4, 15)
-    supports = {tuple(np.nonzero(generate_ground_truth(fam, s).values)[0]) for s in range(20)}
+    supports = {tuple(np.nonzero(generate_ground_truth(fam, s))[0]) for s in range(20)}
     assert len(supports) > 15
 
 
@@ -52,7 +53,7 @@ def test_generated_labels_match_exhaustive_decoder():
     w = generate_ground_truth(fam, 3)
     S = generate_dataset(fam, w, 12, 4)
     for i, y in enumerate(S.outputs):
-        assert y == exhaustive_map_decode(fam, S.inputs[i], w.values)
+        assert y == exhaustive_map_decode(fam, S.inputs[i], w)
 
 
 def test_zero_ground_truth_gives_canonical_labels():
@@ -244,7 +245,7 @@ def test_weights_round_trip(tmp_path):
     w = generate_ground_truth(SET36, 9)
     path = tmp_path / "w.json"
     save_weights(path, w)
-    assert np.array_equal(load_weights(path).values, w.values)
+    assert np.array_equal(load_weights(path), w)
     assert isinstance(json.loads(path.read_text()), list)
 
 
@@ -362,11 +363,12 @@ def test_cli_train_rejects_bad_config_files(tmp_path, capsys, config, message):
 def test_metrics_csv_write(tmp_path, smoke_records):
     _, records = smoke_records
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, records)
+    write_csv(path, METRICS_CSV_HEADER, map(dataclasses.astuple, records))
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == METRICS_CSV_HEADER
     assert len(rows) == len(records) + 1
+    assert rows[1] == [str(getattr(records[0], k)) for k in METRICS_CSV_HEADER]
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +381,7 @@ def test_cli_gen_train_eval_round_trip(tmp_path):
     trace = tmp_path / "trace.csv"
     metrics = tmp_path / "m.csv"
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"family": "set:3,6", "m_train": 15, "iterations": 4,
-                                  "repetitions": 1, "master_seed": 3}))
+    config.write_text(json.dumps({"family": "set:3,6", "iterations": 4, "master_seed": 3}))
     assert cli.main(["gen-data", "--family", "set:3,6", "--seed", "1", "--m", "15",
                      "--out", str(data)]) == 0
     assert cli.main(["train", "--method", "crf_rand", "--config", str(config),
@@ -394,11 +395,62 @@ def test_cli_gen_train_eval_round_trip(tmp_path):
     assert len(rows) == 5
     with open(metrics) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["run_id", "method", "kind", "value", "stderr"]
+    assert rows[0] == ["run_id", "method", "kind", "value"]
     kinds = {r[2] for r in rows[1:]}
     assert kinds == {"exact_crf", "hamming"}
     w = load_weights(weights)
-    assert w.values.shape == (SET36.feature_dim,)
+    assert w.shape == (SET36.feature_dim,)
+
+
+def test_cli_gen_train_eval_reproduces_repetition_zero(tmp_path):
+    # gen-data and train draw from the streams of repetition 0 of
+    # reproduce --seed, and train's n_target and beta follow the data's m
+    seed, m, iterations = 3, 15, 4
+    data, config = tmp_path / "d.jsonl", tmp_path / "cfg.json"
+    config.write_text(json.dumps({"family": "set:3,6", "iterations": iterations,
+                                  "l1_lambda": 0.01, "master_seed": seed}))
+    assert cli.main(["gen-data", "--family", "set:3,6", "--seed", str(seed), "--m", str(m),
+                     "--out", str(data)]) == 0
+    cfg = ExperimentConfig(family=SET36, m_train=m, iterations=iterations, l1_lambda=0.01,
+                           master_seed=seed, methods=(Method.CRF_RAND, Method.SVM_RAND))
+    for record in run_repetition(cfg, 0):
+        weights, metrics = tmp_path / f"{record.method}.json", tmp_path / f"{record.method}.csv"
+        assert cli.main(["train", "--method", record.method, "--config", str(config),
+                         "--data", str(data), "--out-weights", str(weights)]) == 0
+        w = load_weights(weights)
+        assert record.weight_support > 0
+        assert int(np.count_nonzero(w)) == record.weight_support
+        assert float(np.abs(w).sum()) == record.weight_l1
+        if record.method == "crf_rand":
+            assert cli.main(["eval", "--weights", str(weights), "--data", str(data),
+                             "--family", "set:3,6", "--metrics", str(metrics)]) == 0
+            with open(metrics) as fh:
+                values = {row["kind"]: float(row["value"]) for row in csv.DictReader(fh)}
+            assert values["exact_crf"] == record.train_loss_exact
+
+
+@pytest.mark.parametrize("key,value", [
+    ("m_train", 30), ("m_test", 30), ("repetitions", 1), ("methods", ["crf_rand"]),
+])
+def test_cli_train_refuses_protocol_keys(tmp_path, capsys, key, value):
+    # train takes m from its data file and trains one --method; these keys
+    # were read for n_target (m_train) or ignored
+    path, data = tmp_path / "cfg.json", tmp_path / "d.jsonl"
+    path.write_text(json.dumps({"family": "set:3,6", key: value}))
+    data.write_text(json.dumps({"x": "0" * SET36.feature_dim, "y": [0, 1, 2]}) + "\n")
+    assert cli.main(["train", "--method", "crf_rand", "--config", str(path), "--data", str(data),
+                     "--out-weights", str(tmp_path / "w.json")]) == 2
+    assert capsys.readouterr().err == (f"randcrf: {path}: train takes m from --data and the "
+                                       f"method from --method; drop {key}\n")
+    assert not (tmp_path / "w.json").exists()
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_cli_gen_data_refuses_sizes_below_one(tmp_path, capsys, m):
+    out = tmp_path / "d.jsonl"
+    assert cli.main(["gen-data", "--family", "set:3,6", "--m", m, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"randcrf: --m must be >= 1, got {m}\n")
+    assert not out.exists()
 
 
 def test_cli_bounds_table(tmp_path, capsys):

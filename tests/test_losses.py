@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from randcrf import (CandidateSets, DagFamily, Dataset, LossKind, ProposalConfig,
-                     SpanningTreeFamily, SubsetFamily, augment, build_candidate_sets,
+                     SpanningTreeFamily, SubsetFamily, augment, build_candidate_sets, crf_pmf,
                      exact_crf_loss, full_candidate_set, hamming_loss, loss_gap,
                      randomized_loss, space)
 from randcrf.spaces import StructuredOutput
 
 from oracles import (augment_reference, exhaustive_map_decode, hamming, loss_gap_reference,
-                     monte_carlo_loss, random_instance, randomized_loss_reference)
+                     monte_carlo_loss, prob_of, random_instance, randomized_loss_reference)
 
 SET36 = SubsetFamily(3, 6)  # r = 20
 
@@ -52,8 +52,8 @@ def test_exact_loss_matches_monte_carlo():
     rng = np.random.default_rng(2)
     S, w = make_dataset(SET36, rng, m=4)
     exact = exact_crf_loss(w, S, 1.0)
-    mc = monte_carlo_loss(w, S, 1.0, draws=100_000, seed=77)
-    assert abs(exact.value - mc.value) < 3 * mc.stderr + 1e-9
+    mc, stderr = monte_carlo_loss(w, S, 1.0, draws=100_000, seed=77)
+    assert abs(exact.value - mc.value) < 3 * stderr + 1e-9
 
 
 def test_exact_loss_invariant_under_permutation():
@@ -231,6 +231,20 @@ def test_segment_losses_match_per_sample_loops(family):
                            - loss_gap_reference(w, S, sets, beta)) <= 1e-12
 
 
+@pytest.mark.parametrize("family", [SET36, SpanningTreeFamily(4), DagFamily(3, 2)])
+def test_crf_pmf_over_a_sampled_set_matches_randomized_loss(family):
+    # crf_pmf scores a listed support by the gather the restricted losses use
+    rng = np.random.default_rng(21)
+    for beta in (0.3, 1.0, 4.0):
+        S, w = make_dataset(family, rng, m=8)
+        sets = augment(build_candidate_sets(family, S, w, ProposalConfig(alpha=0.5, k=2,
+                                                                         n_target=3), rng), S)
+        per_sample = randomized_loss(w, S, sets, beta).per_sample
+        for i in range(S.m):
+            dist = crf_pmf(family, S.inputs[i], w, sets[i], beta)
+            assert abs(prob_of(dist, S.outputs[i]) - (1.0 - per_sample[i])) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo loss
 
@@ -239,7 +253,7 @@ def test_monte_carlo_singleton_space_is_zero():
     fam = SubsetFamily(2, 2)
     y = space(fam).outputs[0]
     S = Dataset(fam, np.ones((2, fam.feature_dim), dtype=np.uint8), (y, y))
-    rep = monte_carlo_loss(np.zeros(fam.feature_dim), S, 1.0, draws=100, seed=0)
+    rep, _ = monte_carlo_loss(np.zeros(fam.feature_dim), S, 1.0, draws=100, seed=0)
     assert rep.value == 0.0
 
 
@@ -247,9 +261,9 @@ def test_monte_carlo_two_outputs_coin_flip():
     fam = SubsetFamily(1, 2)  # two outputs, no active pairs: always a tie broken by noise
     y = space(fam).outputs[0]
     S = Dataset(fam, np.ones((1, fam.feature_dim), dtype=np.uint8), (y,))
-    rep = monte_carlo_loss(np.zeros(fam.feature_dim), S, 1.0, draws=10 ** 6, seed=13)
+    rep, stderr = monte_carlo_loss(np.zeros(fam.feature_dim), S, 1.0, draws=10 ** 6, seed=13)
     assert abs(rep.value - 0.5) < 0.0015  # three binomial standard errors
-    assert rep.stderr == pytest.approx(np.sqrt(rep.value * (1 - rep.value) / 10 ** 6), rel=1e-6)
+    assert stderr == pytest.approx(np.sqrt(rep.value * (1 - rep.value) / 10 ** 6), rel=1e-6)
 
 
 def test_monte_carlo_rejects_zero_draws():
@@ -311,6 +325,5 @@ def test_probabilistic_losses_live_in_unit_interval():
 def test_loss_report_csv_row():
     rng = np.random.default_rng(18)
     S, w = make_dataset(SET36, rng, m=2)
-    row = exact_crf_loss(w, S, 1.0).csv_row("runA", "crf_all")
-    assert row[:3] == ("runA", "crf_all", "exact_crf")
-    assert row[4] == ""
+    rep = exact_crf_loss(w, S, 1.0)
+    assert rep.csv_row("runA", "crf_all") == ("runA", "crf_all", "exact_crf", rep.value)

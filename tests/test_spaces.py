@@ -12,7 +12,7 @@ from randcrf import spaces
 from randcrf.spaces import ordered_pair_index, unordered_pair_index
 
 from oracles import (brute_force_dag_components, brute_force_tree_components,
-                     component_distance, feature_indices_reference, hamming,
+                     component_distance, edge_of, feature_indices_reference, hamming,
                      incidence_reference, masks_reference, neighbor_csr_reference,
                      neighbor_indices, neighbors_k)
 
@@ -148,7 +148,7 @@ def test_feature_map_nonzero_entries_are_exactly_one():
 def test_feature_map_tree_fires_on_joined_node_pairs():
     fam = SpanningTreeFamily(3)
     y = next(y for y in space(fam).outputs
-             if {fam.edge_of(c) for c in y.components} == {(0, 1), (1, 2)})
+             if {edge_of(fam, c) for c in y.components} == {(0, 1), (1, 2)})
     phi = feature_map(fam, np.ones(3), y)
     assert phi[unordered_pair_index(0, 1, 3)] == 1.0
     assert phi[unordered_pair_index(1, 2, 3)] == 1.0
