@@ -69,8 +69,6 @@ def _cmd_train(args) -> int:
             raise ValueError(f"{args.config}: {exc}") from None
     method = Method(args.method)
     S = harness.load_dataset(args.data, cfg.family)
-    # n_target and beta default from the data's m, as reproduce's do from m_train
-    cfg = dataclasses.replace(cfg, m_train=S.m)
     w_hat, trace = harness._train_method(
         method, S, cfg, harness.stream_seed(cfg.master_seed, 0, "proposal", method))
     harness.save_weights(args.out_weights, w_hat)

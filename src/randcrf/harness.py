@@ -21,7 +21,7 @@ import numpy as np
 
 from .gumbel_crf import as_weights, full_candidate_set
 from .losses import Dataset, exact_crf_loss, hamming_loss
-from .proposal import ProposalConfig, warm_proposal_tables
+from .proposal import warm_proposal_tables
 from .spaces import (DagFamily, SpanningTreeFamily, StructureFamily, StructuredOutput,
                      SubsetFamily, space)
 from .trainer import (Method, TrainConfig, TrainTrace, beta_schedule, hinge_loss,
@@ -98,14 +98,17 @@ class ExperimentConfig:
     methods: tuple[Method, ...] = tuple(Method)
     l1_lambda: float = 0.01
     iterations: int = 20
-    n_target: int | None = None  # None -> ceil(sqrt(m_train))
-    neighborhood_k: int | None = None  # None -> default_neighborhood_radius(family)
+    n_target: int | None = None  # None -> ceil(sqrt(m)) of the data trained on
+    # radius 2 spans one subset swap or tree edge replacement, or two DAG edge
+    # edits; radius 4 on DAGs gave balls of hundreds of outputs (307 of dag:5,1's
+    # 1,296 on average) and no better randomized test Hamming (seeds 1-6, dag:5,1/2)
+    neighborhood_k: int = 2
     beta: float | None = None  # None -> beta_schedule(m_train, r)
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("m_train", "m_test", "repetitions", "n_target", "neighborhood_k"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
+        for name in ("m_train", "m_test", "repetitions"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
@@ -114,16 +117,18 @@ class ExperimentConfig:
         for i, method in enumerate(self.methods):
             if method in self.methods[:i]:
                 raise ValueError(f"method {method.value} is listed twice")
-        # l1_lambda, iterations and beta get TrainConfig's checks
-        TrainConfig(method=Method.CRF_ALL, l1_lambda=self.l1_lambda, iterations=self.iterations,
-                    beta=self.beta)
+        self._train_config(Method.CRF_ALL, seed=0)  # TrainConfig checks the other fields
+
+    def _train_config(self, method: Method, seed: int) -> TrainConfig:
+        return TrainConfig(method=method, l1_lambda=self.l1_lambda, iterations=self.iterations,
+                           beta=self.beta, seed=seed, neighborhood_k=self.neighborhood_k,
+                           n_target=self.n_target)
 
     def resolved_n_target(self) -> int:
-        return self.n_target if self.n_target is not None else math.ceil(math.sqrt(self.m_train))
+        return self._train_config(Method.CRF_RAND, seed=0).resolved_n_target(self.m_train)
 
     def resolved_k(self) -> int:
-        return (self.neighborhood_k if self.neighborhood_k is not None
-                else default_neighborhood_radius(self.family))
+        return self.neighborhood_k
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -196,12 +201,8 @@ TIMING_COLUMNS = ("train_seconds",)
 
 def _train_method(method: Method, S_train: Dataset, cfg: ExperimentConfig,
                   seed: int) -> tuple[np.ndarray, TrainTrace]:
-    tc = TrainConfig(method=method, l1_lambda=cfg.l1_lambda, iterations=cfg.iterations,
-                     beta=cfg.beta, seed=seed)
-    pc = ProposalConfig(alpha=0.0, k=cfg.resolved_k(), n_target=cfg.resolved_n_target())
-    if method in (Method.CRF_ALL, Method.CRF_RAND):
-        return train_crf(S_train, tc, pc)
-    return train_svm(S_train, tc, pc)
+    train = train_crf if method in (Method.CRF_ALL, Method.CRF_RAND) else train_svm
+    return train(S_train, cfg._train_config(method, seed))
 
 
 def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord]:
@@ -218,7 +219,7 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord
     if any(m in (Method.CRF_RAND, Method.SVM_RAND) for m in cfg.methods):
         # one-time per-process table builds stay outside the per-method
         # training timers
-        warm_proposal_tables(family, cfg.resolved_k())
+        warm_proposal_tables(family, cfg.neighborhood_k)
 
     records = []
     for method in cfg.methods:
@@ -319,18 +320,6 @@ def summarize(records: Sequence[MetricsRecord]) -> list[SummaryRow]:
 
 
 _FAMILY_DEFAULTS = {"tree": SpanningTreeFamily(6), "dag": DagFamily(5, 2), "set": SubsetFamily(4, 15)}
-
-
-def default_neighborhood_radius(family: StructureFamily) -> int:
-    """Greedy-pass radius used by the comparison protocol: 2 for every family.
-
-    A subset swap or a tree edge replacement moves distance 2, so radius 2
-    spans one elementary move; on DAGs it spans up to two edge edits.  Radius
-    4 on DAGs gave balls of hundreds of outputs (307 of dag:5,1's 1,296 on
-    average) and no better test Hamming for the randomized methods over
-    seeds 1-6 on dag:5,1 and dag:5,2.
-    """
-    return 2
 
 
 def parse_family(label: str) -> StructureFamily:

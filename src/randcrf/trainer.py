@@ -9,7 +9,9 @@ hinge with normalized Hamming distortion.  Both use the step schedule
 step0/sqrt(t), with step0 the Gumbel scale for CRF methods and 1 for SVM,
 followed by an L1 proximal (soft-threshold) step, and both come
 in an exact flavor (decoding over the full space) and a randomized flavor
-(decoding over freshly sampled candidate sets).
+(decoding over sets of ``n_target`` fresh greedy draws per sample, by default
+ceil(sqrt(m)), over balls of radius ``neighborhood_k``, by default 2, with
+exploration probability ``alpha_schedule(w, m)`` of the current weights).
 
 Restricted-support quantities are computed on flat sample-major candidate
 arrays (segment reductions), which keeps the randomized methods' per-iteration
@@ -29,7 +31,7 @@ import numpy as np
 from .gumbel_crf import (CandidateSets, _feature_positions, _pad_features, _segment_pmfs,
                          _sum_at, as_candidate_sets, as_weights, pmf_matrix)
 from .losses import Dataset, LossKind, LossReport, _bit_matrix, _true_indices
-from .proposal import ProposalConfig, _augment_keys, _batch_end_keys, alpha_schedule
+from .proposal import _augment_keys, _batch_end_keys, alpha_schedule
 from .spaces import StructuredOutput, space
 
 
@@ -45,19 +47,31 @@ RANDOMIZED_METHODS = (Method.CRF_RAND, Method.SVM_RAND)
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Randomized methods draw ``n_target`` proposals per sample (None: ceil(sqrt(m))
+    of the data trained on), each a greedy pass of radius ``neighborhood_k``."""
+
     method: Method
     l1_lambda: float = 0.01
     iterations: int = 20
     beta: float | None = None  # None -> beta_schedule(m, r) for CRF methods
     seed: int = 0
+    neighborhood_k: int = 2
+    n_target: int | None = None
 
     def __post_init__(self):
+        if self.neighborhood_k < 1:
+            raise ValueError("neighborhood_k must be >= 1")
+        if self.n_target is not None and self.n_target < 1:
+            raise ValueError("n_target must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.l1_lambda < 0:
             raise ValueError("l1_lambda must be >= 0")
         if self.beta is not None and not self.beta > 0:
             raise ValueError("beta must be positive")
+
+    def resolved_n_target(self, m: int) -> int:
+        return self.n_target if self.n_target is not None else math.ceil(math.sqrt(m))
 
 
 @dataclass(frozen=True)
@@ -216,37 +230,34 @@ def hinge_loss(w, S: Dataset, candidates: Sequence[Sequence[StructuredOutput]]) 
 # training loops
 
 
-def train_crf(S: Dataset, cfg: TrainConfig,
-              proposal_cfg: ProposalConfig | None = None) -> tuple[np.ndarray, TrainTrace]:
+def train_crf(S: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     """Ascend the (restricted) log-likelihood with an L1 proximal step."""
     if cfg.method not in (Method.CRF_ALL, Method.CRF_RAND):
         raise ValueError(f"train_crf got method {cfg.method}")
-    return _train(S, cfg, proposal_cfg)
+    return _train(S, cfg)
 
 
-def train_svm(S: Dataset, cfg: TrainConfig,
-              proposal_cfg: ProposalConfig | None = None) -> tuple[np.ndarray, TrainTrace]:
+def train_svm(S: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     """Subgradient descent on the structured hinge with an L1 proximal step."""
     if cfg.method not in (Method.SVM_ALL, Method.SVM_RAND):
         raise ValueError(f"train_svm got method {cfg.method}")
-    return _train(S, cfg, proposal_cfg)
+    return _train(S, cfg)
 
 
-def _train(S: Dataset, cfg: TrainConfig, proposal_cfg):
+def _train(S: Dataset, cfg: TrainConfig):
     sp = space(S.family)
     X = _bit_matrix(S)
     y_idx = _true_indices(S)
     m = S.m
     randomized = cfg.method in RANDOMIZED_METHODS
     is_crf = cfg.method in (Method.CRF_ALL, Method.CRF_RAND)
-    if randomized and proposal_cfg is None:
-        raise ValueError("randomized methods need a proposal configuration")
     beta = None
     if is_crf:
         beta = cfg.beta if cfg.beta is not None else beta_schedule(m, sp.size)
     # for CRF methods one update is the moment-matching direction times 1/sqrt(t)
     step0 = beta if is_crf else 1.0
     dist_cols = _distance_columns(sp, y_idx) if cfg.method is Method.SVM_ALL else None
+    n_target = cfg.resolved_n_target(m)
 
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(sp.family.feature_dim)
@@ -259,8 +270,8 @@ def _train(S: Dataset, cfg: TrainConfig, proposal_cfg):
         if randomized:
             np.multiply(X, w, out=xw_pad[:, :-1])
             alpha = alpha_schedule(w, m)
-            sets = _augment_keys(sp, _batch_end_keys(sp, xw_pad, y_idx, alpha, proposal_cfg.k,
-                                                     proposal_cfg.n_target, rng), y_idx)
+            sets = _augment_keys(sp, _batch_end_keys(sp, xw_pad, y_idx, alpha, cfg.neighborhood_k,
+                                                     n_target, rng), y_idx)
         if is_crf:
             if cfg.method is Method.CRF_ALL:
                 q, diff = _gain_terms_full(sp, X, y_idx, w, beta)

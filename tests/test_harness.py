@@ -9,11 +9,10 @@ import pytest
 from scipy import stats
 
 from randcrf import (DagFamily, ExperimentConfig, Method, SpanningTreeFamily, SubsetFamily,
-                     family_label, generate_dataset, generate_ground_truth, load_dataset,
-                     load_weights, parse_family, run_experiment, run_repetition, save_dataset,
-                     save_weights, space, summarize)
-from randcrf.harness import (METRIC_COLUMNS, METRICS_CSV_HEADER, MetricsRecord,
-                             default_neighborhood_radius, write_csv)
+                     TrainConfig, family_label, generate_dataset, generate_ground_truth,
+                     load_dataset, load_weights, parse_family, run_experiment, run_repetition,
+                     save_dataset, save_weights, space, summarize)
+from randcrf.harness import METRIC_COLUMNS, METRICS_CSV_HEADER, MetricsRecord, write_csv
 from randcrf import cli
 
 from oracles import exhaustive_map_decode
@@ -313,9 +312,11 @@ def test_experiment_config_round_trip():
 
 
 def test_protocol_radius_is_two_unless_given():
+    assert TrainConfig(method=Method.CRF_RAND).neighborhood_k == 2
+    assert TrainConfig(method=Method.CRF_RAND, neighborhood_k=4).neighborhood_k == 4
     for label in ("tree:6", "dag:5,1", "dag:5,2", "set:4,15"):
         family = parse_family(label)
-        assert default_neighborhood_radius(family) == 2
+        assert ExperimentConfig(family=family).neighborhood_k == 2
         assert ExperimentConfig(family=family).resolved_k() == 2
         assert ExperimentConfig(family=family, neighborhood_k=4).resolved_k() == 4
 
@@ -347,6 +348,8 @@ def test_protocol_radius_is_two_unless_given():
     ({"family": "set:3,6", "methods": ["crf_all", "svm_all", "crf_all"]},
      "method crf_all is listed twice"),
     ({"family": "set:3,6", "step0": 0.5}, "unknown config keys: step0"),
+    ({"family": "set:3,6", "neighborhood_k": None}, "config key 'neighborhood_k' must be an "
+     "integer, got None"),
 ])
 def test_cli_train_rejects_bad_config_files(tmp_path, capsys, config, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -15,7 +15,6 @@ from randcrf import (CandidateSets, Dataset, Method, SubsetFamily, TrainConfig,
                      beta_schedule, exact_crf_loss, full_candidate_set, hinge_loss, log_gain,
                      log_gain_gradient, log_likelihood_gradient, soft_threshold, space,
                      train_crf, train_svm)
-from randcrf.proposal import ProposalConfig
 
 from oracles import hamming, log_likelihood, random_instance, score_of
 
@@ -209,10 +208,10 @@ def test_hinge_matches_brute_force_max():
 def test_huge_l1_penalty_returns_zero_weights():
     rng = np.random.default_rng(8)
     S = make_dataset(SET36, rng, m=6)
-    pc = ProposalConfig(alpha=0.0, k=2, n_target=3)
     for method, train in ((Method.CRF_ALL, train_crf), (Method.CRF_RAND, train_crf),
                           (Method.SVM_ALL, train_svm), (Method.SVM_RAND, train_svm)):
-        w, _ = train(S, TrainConfig(method=method, l1_lambda=1e3, iterations=5, beta=1.0), pc)
+        w, _ = train(S, TrainConfig(method=method, l1_lambda=1e3, iterations=5, beta=1.0,
+                                    n_target=3))
         assert np.count_nonzero(w) == 0
 
 
@@ -241,10 +240,9 @@ def test_svm_objective_trends_down_on_separable_instance():
 def test_training_is_deterministic():
     rng = np.random.default_rng(9)
     S = make_dataset(SET36, rng, m=10)
-    cfg = TrainConfig(method=Method.CRF_RAND, iterations=6, seed=21, beta=0.5)
-    pc = ProposalConfig(alpha=0.0, k=2, n_target=4)
-    w1, t1 = train_crf(S, cfg, pc)
-    w2, t2 = train_crf(S, cfg, pc)
+    cfg = TrainConfig(method=Method.CRF_RAND, iterations=6, seed=21, beta=0.5, n_target=4)
+    w1, t1 = train_crf(S, cfg)
+    w2, t2 = train_crf(S, cfg)
     np.testing.assert_array_equal(w1, w2)
     for a, b in zip(t1.rows, t2.rows):
         assert (a.objective, a.grad_inf_norm, a.set_size_mean, a.set_size_max) \
@@ -254,8 +252,8 @@ def test_training_is_deterministic():
 def test_trace_length_and_final_sets():
     rng = np.random.default_rng(10)
     S = make_dataset(SET36, rng, m=4)
-    pc = ProposalConfig(alpha=0.0, k=2, n_target=3)
-    _, trace = train_crf(S, TrainConfig(method=Method.CRF_RAND, iterations=7, beta=1.0), pc)
+    _, trace = train_crf(S, TrainConfig(method=Method.CRF_RAND, iterations=7, beta=1.0,
+                                        n_target=3))
     assert len(trace) == 7
     assert trace.final_candidate_sets is not None
     for cs, y in zip(trace.final_candidate_sets, S.outputs):
@@ -271,11 +269,12 @@ def test_method_entrypoints_are_checked():
         train_crf(S, TrainConfig(method=Method.SVM_ALL))
     with pytest.raises(ValueError):
         train_svm(S, TrainConfig(method=Method.CRF_RAND))
-    with pytest.raises(ValueError):
-        train_crf(S, TrainConfig(method=Method.CRF_RAND, beta=1.0))  # no proposal config
     for beta in (0.0, -1.0):
         with pytest.raises(ValueError, match="beta must be positive"):
             TrainConfig(method=Method.CRF_RAND, beta=beta)
+    for name in ("neighborhood_k", "n_target"):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            TrainConfig(method=Method.CRF_RAND, **{name: 0})
 
 
 # Exact trainers in a fresh process that never builds a neighbor table: with
