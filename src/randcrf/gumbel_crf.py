@@ -21,10 +21,10 @@ def as_weights(w) -> np.ndarray:
     return np.asarray(w, dtype=np.float64)
 
 
-def full_candidate_set(family: StructureFamily) -> tuple[StructuredOutput, ...]:
+def full_candidate_set(family: StructureFamily) -> Sequence[StructuredOutput]:
     """The whole output space as a candidate set, in canonical order: the
-    space's own ``outputs`` tuple, which lists of per-sample sets recognize
-    by identity."""
+    space's own ``outputs`` sequence, which lists of per-sample sets
+    recognize by identity."""
     return space(family).outputs
 
 
@@ -94,7 +94,7 @@ def as_candidate_sets(sets: Sequence[Sequence[StructuredOutput]], family: Struct
     """The candidate sets of an m-sample dataset as one ``CandidateSets``: it
     passes through, and per-sample sequences of outputs are indexed into one,
     or kept as offsets alone when every set is the space's own ``outputs``
-    tuple (``full_candidate_set``).  A set that repeats an output is an error."""
+    sequence (``full_candidate_set``).  A set that repeats an output is an error."""
     if len(sets) != m:
         raise ValueError(f"expected {m} candidate sets, got {len(sets)}")
     if isinstance(sets, CandidateSets):
@@ -104,8 +104,8 @@ def as_candidate_sets(sets: Sequence[Sequence[StructuredOutput]], family: Struct
     sp = space(family)
     if all(cs is sp.outputs for cs in sets):
         return CandidateSets(family, np.arange(m + 1) * sp.size, None)
-    keys = np.fromiter((i * sp.size + sp.index(y) for i, cs in enumerate(sets) for y in cs),
-                       dtype=np.int64)
+    counts = [len(cs) for cs in sets]
+    keys = (np.arange(m) * sp.size).repeat(counts) + sp.indices([y for cs in sets for y in cs])
     return CandidateSets.from_keys(family, _distinct(keys), m)
 
 
@@ -156,7 +156,7 @@ def perturbed_decode(family: StructureFamily, x, w, gamma,
 def _support_scores(family: StructureFamily, x, w,
                     support: Sequence[StructuredOutput] | None) -> np.ndarray:
     """Scores of the support's outputs in stored order; of all outputs for
-    None or the space's own ``outputs`` tuple.  The full space is scored by
+    None or the space's own ``outputs`` sequence.  The full space is scored by
     ``score_matrix``, a listed support by the candidate-set gather, so each
     candidate gets the bits the trainers and the restricted losses give it.
     A repeated output is an error."""
@@ -164,7 +164,7 @@ def _support_scores(family: StructureFamily, x, w,
     bits = input_bits(family, x)[None, :]
     if support is None or support is sp.outputs:
         return sp.score_matrix(bits, w)[:, 0]
-    idx = np.array([sp.index(y) for y in support], dtype=np.int64)
+    idx = sp.indices(support)
     _distinct(idx)
     xw_pad = _pad_features(bits * w)
     return _sum_at(xw_pad, _feature_positions(sp, xw_pad.shape[1], 0, idx))

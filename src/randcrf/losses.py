@@ -67,8 +67,7 @@ def _bit_matrix(S: Dataset) -> np.ndarray:
 
 
 def _true_indices(S: Dataset) -> np.ndarray:
-    sp = space(S.family)
-    return np.array([sp.index(y) for y in S.outputs])
+    return space(S.family).indices(S.outputs)
 
 
 def _report(per_sample: np.ndarray, kind: LossKind) -> LossReport:

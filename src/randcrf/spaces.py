@@ -21,8 +21,10 @@ from __future__ import annotations
 import ctypes
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -147,15 +149,16 @@ class SubsetFamily:
             and all(0 <= c < self.universe for c in components)
         )
 
-    def _feature_cells(self, rows: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # every output holds exactly k sorted elements; each pair of them fires
+    def _feature_cells(self, comps: np.ndarray) -> np.ndarray:
+        # every output holds exactly k sorted elements; each pair of them fires, ascending
         a, b = np.triu_indices(self.k, 1)
-        chosen = comps.reshape(-1, self.k)
-        return (rows.reshape(-1, self.k)[:, a].ravel(),
-                _unordered_pair_columns(chosen[:, a].ravel(), chosen[:, b].ravel(), self.universe))
+        return _unordered_pair_columns(comps[:, a], comps[:, b], self.universe)
 
-    def _iter_components(self) -> Iterator[tuple[int, ...]]:
-        return itertools.combinations(range(self.universe), self.k)
+    def _components(self) -> np.ndarray:
+        # itertools.combinations lists the subsets in lexicographic order already
+        _check_budget(self, self.num_outputs)
+        return np.fromiter(itertools.combinations(range(self.universe), self.k),
+                           dtype=np.dtype((np.int32, (self.k,))), count=self.num_outputs)
 
 
 @dataclass(frozen=True)
@@ -194,13 +197,13 @@ class SpanningTreeFamily:
         v = self.num_nodes
         return len(components) == v - 1 and _valid_parent_sets(components, v, 1)
 
-    def _feature_cells(self, rows: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _feature_cells(self, comps: np.ndarray) -> np.ndarray:
         # each edge fires its unordered node pair
         parent, child = _ordered_pair(comps, self.num_nodes)
-        return rows, _unordered_pair_columns(np.minimum(parent, child), np.maximum(parent, child),
-                                             self.num_nodes)
+        return _unordered_pair_columns(np.minimum(parent, child), np.maximum(parent, child),
+                                       self.num_nodes)
 
-    def _iter_components(self) -> Iterator[tuple[int, ...]]:
+    def _components(self) -> np.ndarray:
         return _parent_set_scan(self, 1, self.num_nodes - 1)
 
 
@@ -243,20 +246,22 @@ class DagFamily:
     def is_valid(self, components: tuple[int, ...]) -> bool:
         return _valid_parent_sets(components, self.num_nodes, self.max_parents)
 
-    def _feature_cells(self, rows: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _feature_cells(self, comps: np.ndarray) -> np.ndarray:
         # the feature grid is the component grid
-        return rows, comps
+        return comps
 
-    def _iter_components(self) -> Iterator[tuple[int, ...]]:
+    def _components(self) -> np.ndarray:
         return _parent_set_scan(self, self.max_parents)
 
 
 StructureFamily = Union[SubsetFamily, SpanningTreeFamily, DagFamily]
 
-# Each family maps flat (output row, component) arrays to the (output row,
-# feature column) cells its outputs fire through ``_feature_cells``; one
-# output's ``feature_map`` and the whole space's incidence matrix both come
-# from that map.
+# Each family lists its outputs as one canonical component array
+# (``_components``): a row per output, its components ascending and padded
+# with -1, rows in the lexicographic order of the component tuples.  It maps
+# such rows to the feature columns they fire (``_feature_cells``), padded
+# with -1 where the components are; one output's ``feature_map``, the
+# space's incidence matrix and its ``feature_indices`` all come from that map.
 
 
 def _unordered_pair_columns(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -302,10 +307,10 @@ def _valid_parent_sets(components: Sequence[int], v: int, max_parents: int) -> b
 
 
 def _parent_set_scan(family: StructureFamily, max_parents: int,
-                     edges: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Components of every acyclic choice of at most ``max_parents`` parents
-    per node (with ``edges`` edges, when given), unsorted, found by draining
-    every combination of parent sets at once as uint8 arrays."""
+                     edges: int | None = None) -> np.ndarray:
+    """Canonical component array of every acyclic choice of at most
+    ``max_parents`` parents per node (with ``edges`` edges, when given),
+    found by draining every combination of parent sets at once as uint8 arrays."""
     v = family.num_nodes
     count = sum(math.comb(v - 1, size) for size in range(max_parents + 1))  # sets per node
     # count >= v, so the limit keeps v <= 7 and a parent mask fits in uint8
@@ -320,12 +325,20 @@ def _parent_set_scan(family: StructureFamily, max_parents: int,
     if edges is not None:
         keep &= sum(np.bitwise_count(mask) for mask in parents) == edges
     kept = np.stack([mask[keep] for mask in parents], axis=1)  # parent masks by child
+    _check_budget(family, len(kept))
     parent, child = _ordered_pair(np.arange(v * (v - 1)), v)
     present = (kept[:, child] >> parent.astype(np.uint8)) & 1  # columns in component order
-    comps = np.nonzero(present)[1].tolist()
-    ends = np.cumsum(present.sum(axis=1)).tolist()
-    for lo, hi in zip([0] + ends, ends):
-        yield tuple(comps[lo:hi])
+    counts = present.sum(axis=1)
+    comps = np.full((len(kept), int(counts.max())), -1, dtype=np.int32)
+    # a boolean assignment fills row by row, as nonzero lists each row's components
+    comps[np.arange(comps.shape[1]) < counts[:, None]] = np.nonzero(present)[1]
+    return comps[np.lexsort(comps.T[::-1])]  # -1 sorts a shorter tuple before its extensions
+
+
+def _check_budget(family: StructureFamily, size: int) -> None:
+    if size > ENUMERATION_BUDGET:
+        raise FamilyTooLargeError(
+            f"{family}: {size} outputs exceed the enumeration budget {ENUMERATION_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -367,35 +380,80 @@ def input_bits(family: StructureFamily, x) -> np.ndarray:
 # enumeration
 
 
+def _packed_masks(rows: np.ndarray, comps: np.ndarray, n: int, words: int) -> np.ndarray:
+    """(n x words) uint64 masks with bit ``comps[e]`` set in row ``rows[e]``."""
+    masks = np.zeros((n, words), dtype=np.uint64)
+    np.bitwise_or.at(masks, (rows, comps >> 6),
+                     np.left_shift(np.uint64(1), (comps & 63).astype(np.uint64)))
+    return masks
+
+
+def _mask_keys(masks: np.ndarray) -> np.ndarray:
+    """One sortable key per row of packed masks: the word itself, or the
+    row's bytes when the masks take several words."""
+    if masks.shape[1] == 1:
+        return masks[:, 0]
+    return np.ascontiguousarray(masks).view(np.dtype((np.void, 8 * masks.shape[1])))[:, 0]
+
+
+class _Outputs(Sequence):
+    """A space's outputs in canonical order, each ``StructuredOutput`` built
+    from its component row on first access and kept, so an output is always
+    the same object."""
+
+    def __init__(self, family: StructureFamily, components: np.ndarray):
+        self._family = family
+        self._components = components
+        self._built: list[StructuredOutput | None] = [None] * len(components)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        y = self._built[i]
+        if y is None:
+            row = self._components[i]
+            y = self._built[i] = StructuredOutput(self._family, tuple(row[row >= 0].tolist()))
+        return y
+
+    def __eq__(self, other):
+        # equal to a tuple of the same outputs, as the tuple it stands for
+        if not isinstance(other, (_Outputs, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 class EnumeratedSpace:
     """All outputs of a family in canonical order, with score/distance machinery.
 
+    Everything derives from ``components``, the family's canonical component
+    array (row y lists output y's components ascending, padded with -1):
+    ``outputs`` makes each ``StructuredOutput`` on first access, ``masks``
+    packs each row's components into bits (``indices`` looks structures up
+    in them), ``feature_indices`` lists each row's features, and
     ``incidence`` is the (size x feature_dim) 0/1 matrix whose row y is the
     feature-grid incidence of output y, so the feature vector of (x, y) is
-    ``incidence[y] * x`` and ``score_matrix`` scores every output for a batch
-    of inputs in one matrix product.
+    ``incidence[y] * x`` and ``score_matrix`` scores every output for a
+    batch of inputs in one matrix product.
     """
 
-    def __init__(self, family: StructureFamily, outputs: Sequence[StructuredOutput]):
+    def __init__(self, family: StructureFamily, components: np.ndarray):
         self.family = family
-        self.outputs: tuple[StructuredOutput, ...] = tuple(outputs)
-        self.size = len(self.outputs)
-        self.index_of = {y.components: i for i, y in enumerate(self.outputs)}
-        if len(self.index_of) != self.size:
-            raise ValueError("duplicate structures in enumeration")
-        lengths = np.fromiter((len(y.components) for y in self.outputs), dtype=np.int64,
-                              count=self.size)
-        # int32 halves the scatters' temporaries (fresh tree:7 build: peak RSS 128 -> 111 MB)
-        comps = np.fromiter(itertools.chain.from_iterable(y.components for y in self.outputs),
-                            dtype=np.int32, count=int(lengths.sum()))
-        rows = np.repeat(np.arange(self.size, dtype=np.int32), lengths)
-        self.masks = np.zeros((self.size, (family.component_count + 63) // 64), dtype=np.uint64)
-        np.bitwise_or.at(self.masks, (rows, comps >> 6),
-                         np.left_shift(np.uint64(1), (comps & 63).astype(np.uint64)))
+        self.components = components
+        self.size = len(components)
+        self.outputs = _Outputs(family, components)
+        rows, slots = np.nonzero(components >= 0)
+        self.masks = _packed_masks(rows, components[rows, slots], self.size,
+                                   (family.component_count + 63) // 64)
+        cells = family._feature_cells(components)
+        rows, slots = np.nonzero(cells >= 0)
         self.incidence = np.zeros((self.size, family.feature_dim))
-        self.incidence[family._feature_cells(rows, comps)] = 1.0
+        self.incidence[rows, cells[rows, slots]] = 1.0
         self._neighbor_csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._feature_indices: np.ndarray | None = None
+        self._masks_sorted: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def feature_indices(self) -> np.ndarray:
@@ -404,14 +462,13 @@ class EnumeratedSpace:
         sentinel ``feature_dim`` (pointing at a zero column).  Row-major, so
         gathering one slot for many outputs reads a contiguous row."""
         if self._feature_indices is None:
-            rows, cols = np.nonzero(self.incidence)
-            counts = np.bincount(rows, minlength=self.size)
-            # slot of each entry within its output: entries come row by row
-            slot = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            out = np.full((max(int(counts.max(initial=0)), 1), self.size), self.family.feature_dim,
-                          dtype=np.int64)
-            out[slot, rows] = cols
-            self._feature_indices = out
+            d = self.family.feature_dim
+            cells = self.family._feature_cells(self.components).astype(np.int64)
+            cells[cells < 0] = d
+            cells.sort(axis=1)
+            if not cells.shape[1]:  # no output fires a feature (subsets of one element)
+                cells = np.full((self.size, 1), d, dtype=np.int64)
+            self._feature_indices = np.ascontiguousarray(cells.T)
         return self._feature_indices
 
     def neighbor_csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -422,10 +479,13 @@ class EnumeratedSpace:
         the packed masks is popcounted into small unsigned distances, one
         compare of ``distance - 1`` (which wraps to the type's maximum for
         the output itself) against k keeps the neighbors, and one flat
-        ``nonzero`` lists them.  Generating each ball by toggling
-        components and looking the results up in the sorted masks was
-        measured slower at the benchmark's sizes (dag:5,1: 64 ms against
-        21 ms on a 2-core x86 VM)."""
+        ``nonzero`` lists them.  Generic balls, built by toggling every
+        one or two components and looking the results up by
+        ``searchsorted`` in the sorted masks, were slower at k = 2
+        (in-process, median of 15 on a 2-core x86 VM, generated against
+        scanned): set:4,15 9.4 against 4.0 ms, dag:5,1 14.1 against
+        3.9 ms, set:4,20 65 against 31 ms, tree:6 250 against 73 ms,
+        dag:5,2 278 against 242 ms."""
         cached = self._neighbor_csr.get(k)
         if cached is None:
             r, words = self.masks.shape
@@ -450,12 +510,35 @@ class EnumeratedSpace:
         return cached
 
     def index(self, y: StructuredOutput) -> int:
-        if y.family is not self.family and y.family != self.family:
-            raise ValueError(f"{y.components} is a structure of {y.family}, not of {self.family}")
-        try:
-            return self.index_of[y.components]
-        except KeyError:
-            raise ValueError(f"{y.components} is not a valid structure of {self.family}") from None
+        """Position of ``y`` in canonical order; see ``indices``."""
+        return int(self.indices((y,))[0])
+
+    def indices(self, ys: Sequence[StructuredOutput]) -> np.ndarray:
+        """Positions of the structures ``ys`` in canonical order, looked up by
+        ``searchsorted`` over the sorted packed masks.  Raises ValueError for
+        the first one that belongs to another family or is not a valid
+        structure of this one."""
+        if self._masks_sorted is None:
+            keys = _mask_keys(self.masks)
+            order = np.argsort(keys)
+            self._masks_sorted = keys[order], order
+        keys, order = self._masks_sorted
+        comps = [y.components for y in ys]
+        lengths = np.fromiter(map(len, comps), dtype=np.int64, count=len(comps))
+        flat = np.fromiter(itertools.chain.from_iterable(comps), dtype=np.int64,
+                           count=int(lengths.sum()))
+        rows = np.arange(len(comps)).repeat(lengths)
+        inside = (flat >= 0) & (flat < self.family.component_count)
+        masks = _packed_masks(rows[inside], flat[inside], len(comps), self.masks.shape[1])
+        found = order[keys.searchsorted(_mask_keys(masks)).clip(max=self.size - 1)]
+        valid = (self.masks[found] == masks).all(axis=1)
+        valid[rows[~inside]] = False
+        for y, ok in zip(ys, valid.tolist()):
+            if y.family is not self.family and y.family != self.family:
+                raise ValueError(f"{y.components} is a structure of {y.family}, not of {self.family}")
+            if not ok:
+                raise ValueError(f"{y.components} is not a valid structure of {self.family}")
+        return found
 
     def score_matrix(self, bit_matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(size x m) scores for a batch of inputs given as an (m x d) bit matrix."""
@@ -473,16 +556,10 @@ def space(family: StructureFamily) -> EnumeratedSpace:
     """The cached enumeration of the family (built once per process): every
     valid structure exactly once, sorted by component tuple.  Raises
     FamilyTooLargeError instead of truncating when the family exceeds
-    ``ENUMERATION_BUDGET``."""
+    ``ENUMERATION_BUDGET``; a subset family before it enumerates anything."""
     sp = _SPACE_CACHE.get(family)
     if sp is None:
-        comps = list(itertools.islice(family._iter_components(), ENUMERATION_BUDGET + 1))
-        if len(comps) > ENUMERATION_BUDGET:
-            raise FamilyTooLargeError(
-                f"{family}: more outputs than the enumeration budget {ENUMERATION_BUDGET}")
-        comps.sort()
-        sp = EnumeratedSpace(family, [StructuredOutput(family, c) for c in comps])
-        _SPACE_CACHE[family] = sp
+        sp = _SPACE_CACHE[family] = EnumeratedSpace(family, family._components())
     return sp
 
 
@@ -499,7 +576,7 @@ def feature_map(family: StructureFamily, x, y: StructuredOutput) -> FeatureVecto
     # the maps assume valid structures (a subset's map pairs elements k at a time)
     if not family.is_valid(y.components):
         raise ValueError(f"{y.components} is not a valid structure of {family}")
-    comps = np.asarray(y.components, dtype=np.int64)
+    cells = family._feature_cells(np.asarray(y.components, dtype=np.int64)[None, :])
     row = np.zeros(family.feature_dim)
-    row[family._feature_cells(np.zeros_like(comps), comps)[1]] = 1.0
+    row[cells[cells >= 0]] = 1.0
     return row * input_bits(family, x)

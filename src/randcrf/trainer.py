@@ -122,6 +122,15 @@ def beta_schedule(m, r: int) -> float:
 # log-likelihood and gain terms
 
 
+def _feature_rows(sp, idx):
+    """The rows ``incidence[idx]``, rebuilt from ``feature_indices`` so that
+    the segment terms read no size x d table."""
+    positions = sp.feature_indices[:, idx]
+    rows = np.zeros((idx.size, sp.family.feature_dim + 1))
+    rows[np.arange(idx.size), positions] = 1.0
+    return rows[:, :-1]
+
+
 def _gain_terms_segments(sp, X, sets: CandidateSets, y_idx, xw_pad):
     """``xw_pad``: the padded input*weight matrix X * (w / beta)."""
     m, d = X.shape
@@ -131,7 +140,7 @@ def _gain_terms_segments(sp, X, sets: CandidateSets, y_idx, xw_pad):
     flat_feat = positions.T.ravel()
     expected = np.bincount(flat_feat, weights=p.repeat(positions.shape[0]),
                            minlength=m * (d + 1)).reshape(m, d + 1)[:, :d] * X
-    observed = sp.incidence[y_idx] * X
+    observed = _feature_rows(sp, y_idx) * X
     return q, observed - expected
 
 
@@ -208,7 +217,7 @@ def _hinge_terms_segments(sp, X, sets: CandidateSets, y_idx, xw_pad):
     eligible = np.where(aug == seg_max[smp], np.arange(aug.size), aug.size)
     best = cand[np.minimum.reduceat(eligible, starts)]
     margins = seg_max - s[y_flat]
-    grad = ((sp.incidence[best] - sp.incidence[y_idx]) * X).mean(axis=0)
+    grad = ((_feature_rows(sp, best) - _feature_rows(sp, y_idx)) * X).mean(axis=0)
     return margins, grad
 
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's enumeration and scoring
 machinery: structures are generated by exhaustive scans with direct validity
-checks, scores by explicit feature dot products, neighborhoods by
+checks (whole spaces up to tree:7 by one array scan over every combination of
+parent sets, read back into sorted tuples), scores by explicit feature dot products, neighborhoods by
 brute-force component distances, and the proposal pass by a literal
 transcription of its definition.  The exceptions are the
 restricted-loss and augmentation references at the end: they are the
@@ -13,11 +14,13 @@ using the closed form.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from randcrf import (DagFamily, LossKind, LossReport, SpanningTreeFamily, SubsetFamily,
-                     feature_map, gumbel_from_uniform, space)
+from randcrf import (DagFamily, LossKind, LossReport, SpanningTreeFamily, StructuredOutput,
+                     SubsetFamily, feature_map, gumbel_from_uniform, space)
 from randcrf.gumbel_crf import pmf_matrix
 from randcrf.spaces import unordered_pair_index
 
@@ -171,16 +174,71 @@ def random_instance(family, rng, m=4, w_scale=1.0, integer_weights=False):
 
 
 # ---------------------------------------------------------------------------
-# per-output constructions of the enumerated-space tables
+# the tuple-based construction of an enumerated space and its tables
 
 
-def masks_reference(sp):
-    """Packed component bitmasks, one bit set per component of each output."""
-    masks = np.zeros((sp.size, (sp.family.component_count + 63) // 64), dtype=np.uint64)
-    for i, y in enumerate(sp.outputs):
-        for c in y.components:
-            masks[i, c >> 6] |= np.uint64(1 << (c & 63))
-    return masks
+def _drain(parents):
+    """Bitmask of the nodes that drain, given uint8 arrays of each node's
+    parents: a node drains once all its parents have drained."""
+    drained = np.zeros_like(parents[0])
+    for _ in parents:
+        for n, mask in enumerate(parents):
+            drained |= ((mask & ~drained) == 0) * np.uint8(1 << n)
+    return drained
+
+
+def parent_set_tuples(v, max_parents, edges=None):
+    """Component tuples of every acyclic choice of at most ``max_parents``
+    parents per node (with ``edges`` edges, when given), unsorted: every
+    combination of parent sets, drained at once as uint8 arrays and read
+    back as one tuple per structure.  Used up to tree:7, where the
+    per-subset scans above are too slow."""
+    count = sum(math.comb(v - 1, size) for size in range(max_parents + 1))
+    options = [np.array([m for m in range(1 << v) if not m >> n & 1
+                         and m.bit_count() <= max_parents], dtype=np.uint8) for n in range(v)]
+    parents = [np.tile(np.repeat(options[n], count ** (v - 1 - n)), count ** n) for n in range(v)]
+    keep = _drain(parents) == (1 << v) - 1
+    if edges is not None:
+        keep &= sum(np.bitwise_count(mask) for mask in parents) == edges
+    kept = np.stack([mask[keep] for mask in parents], axis=1)
+    pairs = np.array(all_ordered_pairs(v))
+    present = (kept[:, pairs[:, 1]] >> pairs[:, 0].astype(np.uint8)) & 1
+    comps = np.nonzero(present)[1].tolist()
+    ends = np.cumsum(present.sum(axis=1)).tolist()
+    return [tuple(comps[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+
+
+@dataclass(frozen=True, eq=False)
+class TupleSpace:
+    """A family's outputs as the sorted component tuples give them, one
+    ``StructuredOutput`` each, with a dict from tuples to positions."""
+
+    outputs: tuple
+    index_of: dict
+
+
+def tuple_space(family):
+    """Sorted component tuples -> ``StructuredOutput``s -> dict: subsets
+    from ``itertools.combinations``, trees and DAGs from
+    ``parent_set_tuples``."""
+    if isinstance(family, SubsetFamily):
+        comps = list(itertools.combinations(range(family.universe), family.k))
+    elif isinstance(family, SpanningTreeFamily):
+        comps = parent_set_tuples(family.num_nodes, 1, family.num_nodes - 1)
+    else:
+        comps = parent_set_tuples(family.num_nodes, family.max_parents)
+    comps.sort()
+    return TupleSpace(tuple(StructuredOutput(family, c) for c in comps),
+                      {c: i for i, c in enumerate(comps)})
+
+
+def masks_reference(family, outputs):
+    """Packed component bitmasks: each output's components as the bits of
+    one Python integer, cut into 64-bit words."""
+    words = (family.component_count + 63) // 64
+    bits = [sum(1 << c for c in y.components) for y in outputs]
+    return np.array([[b >> 64 * j & (1 << 64) - 1 for j in range(words)] for b in bits],
+                    dtype=np.uint64)
 
 
 def incidence_row_reference(family, components):
@@ -199,8 +257,8 @@ def incidence_row_reference(family, components):
     return row
 
 
-def incidence_reference(sp):
-    return np.vstack([incidence_row_reference(sp.family, y.components) for y in sp.outputs])
+def incidence_reference(family, outputs):
+    return np.vstack([incidence_row_reference(family, y.components) for y in outputs])
 
 
 def feature_indices_reference(incidence):
@@ -214,18 +272,23 @@ def feature_indices_reference(incidence):
     return out
 
 
-def neighbor_csr_reference(masks, k):
-    """CSR of the outputs at component distance 1..k from each output, by an
-    int64 distance row per output."""
-    counts, data = [], []
+def neighbor_csr_references(masks, radii):
+    """For each radius k, the CSR of the outputs at component distance 1..k
+    from each output, from one int64 distance row per output."""
+    counts = {k: [] for k in radii}
+    data = {k: [] for k in radii}
     for row in masks:
         dist = np.bitwise_count(masks ^ row).sum(axis=1).astype(np.int64)
-        hit = np.nonzero((dist > 0) & (dist <= k))[0].astype(np.int64)
-        counts.append(hit.size)
-        data.append(hit)
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, np.concatenate(data)
+        for k in radii:
+            hit = np.nonzero((dist > 0) & (dist <= k))[0].astype(np.int64)
+            counts[k].append(hit.size)
+            data[k].append(hit)
+    tables = []
+    for k in radii:
+        indptr = np.zeros(len(masks) + 1, dtype=np.int64)
+        np.cumsum(counts[k], out=indptr[1:])
+        tables.append((indptr, np.concatenate(data[k])))
+    return tables
 
 
 # ---------------------------------------------------------------------------

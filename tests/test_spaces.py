@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randcrf import (DagFamily, FamilyTooLargeError, SpanningTreeFamily, StructuredOutput,
-                     SubsetFamily, feature_map, make_input, space)
+from randcrf import (Dataset, DagFamily, FamilyTooLargeError, SpanningTreeFamily,
+                     StructuredOutput, SubsetFamily, feature_map, full_candidate_set, make_input,
+                     space)
 from randcrf import spaces
+from randcrf.losses import _true_indices
 from randcrf.spaces import ordered_pair_index, unordered_pair_index
 
 from oracles import (brute_force_dag_components, brute_force_tree_components,
                      component_distance, edge_of, feature_indices_reference, hamming,
-                     incidence_reference, masks_reference, neighbor_csr_reference,
-                     neighbor_indices, neighbors_k)
+                     incidence_reference, masks_reference, neighbor_csr_references,
+                     neighbor_indices, neighbors_k, tuple_space)
 
 SET_4_15 = SubsetFamily(4, 15)
 TREE6 = SpanningTreeFamily(6)
@@ -100,6 +102,12 @@ def test_enumeration_budget_is_enforced_not_truncated():
         space(SpanningTreeFamily(12))
     with pytest.raises(FamilyTooLargeError):
         space(SubsetFamily(8, 30))  # 5,852,925 outputs
+
+
+def test_subset_budget_is_checked_before_enumerating(monkeypatch):
+    monkeypatch.setattr(spaces.itertools, "combinations", lambda *_: pytest.fail("enumerated"))
+    with pytest.raises(FamilyTooLargeError, match="5852925 outputs exceed"):
+        space(SubsetFamily(8, 30))
 
 
 def test_num_outputs_reported_by_family():
@@ -286,31 +294,98 @@ def test_neighbor_csr_agrees_with_single_row_lookup():
 # enumerated-space tables against per-output constructions
 
 
-@pytest.mark.parametrize("family", [
+TABLE_FAMILIES = [
     SubsetFamily(2, 5), SubsetFamily(3, 6), SET_4_15,
     SubsetFamily(2, 70),  # 70 components: two mask words
     SubsetFamily(2, 64), SubsetFamily(2, 65),  # each side of the one-word limit
-    SpanningTreeFamily(4), SpanningTreeFamily(5),
+    SpanningTreeFamily(4), SpanningTreeFamily(5), TREE6,
     DagFamily(3, 2), DagFamily(4, 1), DagFamily(5, 1),  # hold the empty DAG
-], ids=repr)
-def test_tables_match_per_output_constructions(family, monkeypatch):
-    sp = space(family)
-    masks = masks_reference(sp)
-    incidence = incidence_reference(sp)
+]
+
+
+@pytest.fixture
+def fresh_space(monkeypatch):
+    """Builds spaces into an empty cache, so each test sees a cold build."""
+    monkeypatch.setattr(spaces, "_SPACE_CACHE", {})
+    return space
+
+
+def check_outputs_lookups_and_masks(family, sp, ref):
+    assert sp.size == len(sp.outputs) == len(ref.outputs)
+    assert [y.components for y in sp.outputs] == [y.components for y in ref.outputs]
+    assert sp.outputs[-1] is sp.outputs[sp.size - 1] is sp.outputs[sp.size - 1]
+    assert full_candidate_set(family) is sp.outputs
+    np.testing.assert_array_equal(sp.indices(ref.outputs), np.arange(sp.size))
+    picks = np.random.default_rng(0).integers(0, sp.size, size=50)
+    for i in picks[:5].tolist():
+        assert sp.index(ref.outputs[i]) == ref.index_of[ref.outputs[i].components] == i
+    S = Dataset(family, np.zeros((picks.size, family.feature_dim), dtype=np.uint8),
+                tuple(ref.outputs[i] for i in picks))
+    np.testing.assert_array_equal(_true_indices(S), picks)
+    masks = masks_reference(family, ref.outputs)
     assert sp.masks.dtype == masks.dtype and np.array_equal(sp.masks, masks)
+
+
+def check_feature_tables(family, sp, ref):
+    incidence = incidence_reference(family, ref.outputs)
     assert sp.incidence.dtype == incidence.dtype and np.array_equal(sp.incidence, incidence)
-    assert sp.feature_indices.dtype == np.int64
+    assert sp.feature_indices.dtype == np.int64 and sp.feature_indices.flags.c_contiguous
     assert np.array_equal(sp.feature_indices, feature_indices_reference(incidence))
-    radii = sorted({1, 2, 3, 4, family.hamming_normalizer})
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES, ids=repr)
+def test_tables_match_per_output_constructions(family, fresh_space, monkeypatch):
+    ref = tuple_space(family)
+    sp = fresh_space(family)
+    check_outputs_lookups_and_masks(family, sp, ref)
+    check_feature_tables(family, sp, ref)
+    radii = [1, 2, 3, 4]
+    if sp.size <= 2000:  # the saturating radius lists every other output
+        radii = sorted({*radii, family.hamming_normalizer})
     tables = [sp.neighbor_csr(k) for k in radii]
     # again in blocks of a quarter of the rows, so that every family scans in several
     monkeypatch.setattr(sp, "_neighbor_csr", {})
     monkeypatch.setattr(spaces, "_NEIGHBOR_BLOCK_PAIRS", sp.size * max(1, sp.size // 4))
     tables += [sp.neighbor_csr(k) for k in radii]
-    for k, (indptr, data) in zip(radii * 2, tables):
-        want_indptr, want_data = neighbor_csr_reference(masks, k)
+    want = neighbor_csr_references(masks_reference(family, ref.outputs), radii)
+    for (indptr, data), (want_indptr, want_data) in zip(tables, want * 2):
         assert indptr.dtype == data.dtype == np.int64
         assert np.array_equal(indptr, want_indptr) and np.array_equal(data, want_data)
+
+
+# Larger spaces skip what takes seconds there: the all-pairs neighbor scans,
+# and on tree:7 the per-output incidence rows.
+@pytest.mark.parametrize("family,feature_tables",
+                         [(SubsetFamily(4, 30), True), (SpanningTreeFamily(7), False)], ids=repr)
+def test_large_spaces_match_the_tuple_construction(family, feature_tables, fresh_space):
+    ref = tuple_space(family)
+    sp = fresh_space(family)
+    check_outputs_lookups_and_masks(family, sp, ref)
+    if feature_tables:
+        check_feature_tables(family, sp, ref)
+
+
+@pytest.mark.parametrize("family", [SubsetFamily(3, 6), SubsetFamily(2, 70), TREE6,
+                                    DagFamily(3, 2)], ids=repr)
+def test_index_refuses_what_the_space_does_not_hold(family):
+    sp = space(family)
+    y = sp.outputs[sp.size // 2]
+    c = family.component_count
+    for comps in (y.components[:-1],  # one component short, or (DAGs) another DAG
+                  y.components[:-1] + (c,), (-1,) + y.components[1:]):
+        if comps in {z.components for z in sp.outputs}:
+            continue
+        bad = StructuredOutput(family, comps)
+        with pytest.raises(ValueError, match=r"is not a valid structure of"):
+            sp.index(bad)
+        with pytest.raises(ValueError, match=r"is not a valid structure of"):
+            sp.indices([y, bad, y])
+    if isinstance(family, DagFamily):  # both directions of one edge
+        with pytest.raises(ValueError, match=r"\(0, 2\) is not a valid structure of"):
+            sp.index(StructuredOutput(family, (0, 2)))
+    other = SubsetFamily(2, 3)
+    with pytest.raises(ValueError, match=r"is a structure of SubsetFamily\(k=2, universe=3\)"):
+        sp.indices([y, StructuredOutput(other, (0, 1))])
 
 
 def test_neighbor_csr_edge_radii():

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randcrf import (CandidateSets, Dataset, Method, SubsetFamily, TrainConfig,
-                     beta_schedule, exact_crf_loss, full_candidate_set, hinge_loss, log_gain,
-                     log_gain_gradient, log_likelihood_gradient, soft_threshold, space,
-                     train_crf, train_svm)
+from randcrf import (CandidateSets, Dataset, DagFamily, Method, ProposalConfig, SubsetFamily,
+                     TrainConfig, augment, beta_schedule, build_candidate_sets, exact_crf_loss,
+                     full_candidate_set, generate_dataset, generate_ground_truth, hinge_loss,
+                     log_gain, log_gain_gradient, log_likelihood_gradient, randomized_loss,
+                     soft_threshold, space, train_crf, train_svm)
+from randcrf import spaces
 
 from oracles import hamming, log_likelihood, random_instance, score_of
 
@@ -260,6 +262,30 @@ def test_trace_length_and_final_sets():
         assert y in cs
     _, trace_full = train_crf(S, TrainConfig(method=Method.CRF_ALL, iterations=3, beta=1.0))
     assert trace_full.final_candidate_sets is None
+
+
+@pytest.mark.parametrize("family", [SubsetFamily(4, 15), DagFamily(5, 1)], ids=repr)
+def test_randomized_path_reads_no_incidence_matrix(family, monkeypatch):
+    # the randomized methods score, propose and take gradients through
+    # feature_indices and the neighbor table alone: the same results come
+    # out of a fresh space whose size x d incidence matrix is gone
+    monkeypatch.setattr(spaces, "_SPACE_CACHE", {})
+    S = generate_dataset(family, generate_ground_truth(family, 3), 30, 4)
+
+    def run():
+        w_crf, crf_trace = train_crf(S, TrainConfig(Method.CRF_RAND, iterations=4, seed=5))
+        w_svm, _ = train_svm(S, TrainConfig(Method.SVM_RAND, iterations=4, seed=6))
+        sets = build_candidate_sets(family, S, w_crf, ProposalConfig(alpha=0.5, n_target=3),
+                                    np.random.default_rng(7))
+        augmented = augment(sets, S)
+        return (w_crf, w_svm, crf_trace.final_candidate_sets.indices, sets.indices,
+                randomized_loss(w_crf, S, augmented, 0.5).per_sample,
+                hinge_loss(w_svm, S, augmented).per_sample)
+
+    want = run()
+    monkeypatch.delattr(space(family), "incidence")
+    for got, expected in zip(run(), want):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_method_entrypoints_are_checked():
