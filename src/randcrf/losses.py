@@ -5,7 +5,7 @@ All probabilistic losses are computed from closed-form CRF probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -39,11 +39,18 @@ class LossReport:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Input bit matrix (m x d) paired with observed structures."""
+    """Input bit matrix (m x d) paired with observed structures.
+
+    Resolved once on construction: ``bits`` holds the inputs as float64 and
+    ``indices`` each observed output's position in the family's canonical
+    order (a ValueError names the first output of another family or not a
+    valid structure of this one)."""
 
     family: StructureFamily
     inputs: np.ndarray
     outputs: tuple[StructuredOutput, ...]
+    bits: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m, d = self.inputs.shape
@@ -53,21 +60,12 @@ class Dataset:
             raise ValueError(f"inputs have {d} columns, family expects {self.family.feature_dim}")
         if len(self.outputs) != m:
             raise ValueError("inputs and outputs have different lengths")
-        for y in self.outputs:
-            if y.family != self.family or not self.family.is_valid(y.components):
-                raise ValueError(f"invalid structure {y.components} for {self.family}")
+        object.__setattr__(self, "indices", space(self.family).indices(self.outputs))
+        object.__setattr__(self, "bits", np.asarray(self.inputs, dtype=np.float64))
 
     @property
     def m(self) -> int:
         return len(self.outputs)
-
-
-def _bit_matrix(S: Dataset) -> np.ndarray:
-    return np.asarray(S.inputs, dtype=np.float64)
-
-
-def _true_indices(S: Dataset) -> np.ndarray:
-    return space(S.family).indices(S.outputs)
 
 
 def _report(per_sample: np.ndarray, kind: LossKind) -> LossReport:
@@ -77,10 +75,8 @@ def _report(per_sample: np.ndarray, kind: LossKind) -> LossReport:
 def exact_crf_loss(w, S: Dataset, beta: float) -> LossReport:
     """Mean probability that the perturbed decoder misses the observed output,
     with the decoder running over the full space."""
-    sp = space(S.family)
-    y_idx = _true_indices(S)
-    probs, _ = pmf_matrix(sp, _bit_matrix(S), w, beta)
-    return _report(1.0 - probs[y_idx, np.arange(S.m)], LossKind.EXACT_CRF)
+    probs, _ = pmf_matrix(space(S.family), S.bits, w, beta)
+    return _report(1.0 - probs[S.indices, np.arange(S.m)], LossKind.EXACT_CRF)
 
 
 def randomized_loss(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
@@ -88,13 +84,10 @@ def randomized_loss(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
     """Mean probability of missing the observed output when the decoder is
     restricted to the per-sample candidate sets; each set must contain it."""
     sets = as_candidate_sets(Tbar, S.family, S.m)
-    if sets.full_space:
-        rep = exact_crf_loss(w, S, beta)
-        return LossReport(rep.value, rep.per_sample, LossKind.RANDOMIZED_AUGMENTED)
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    xw_pad = _pad_features(_bit_matrix(S) * (as_weights(w) / beta))
-    p, y_flat, _ = _segment_pmfs(sets, _true_indices(S), xw_pad)
+    xw_pad = _pad_features(S.bits * (as_weights(w) / beta))
+    p, y_flat, _ = _segment_pmfs(sets, S.indices, xw_pad)
     return _report(1.0 - p[y_flat], LossKind.RANDOMIZED_AUGMENTED)
 
 
@@ -104,7 +97,7 @@ def loss_gap(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]], beta: fl
     outside the candidate set).  Always <= 0."""
     sets = as_candidate_sets(Tbar, S.family, S.m)
     q = 1.0 - randomized_loss(w, S, sets, beta).per_sample
-    full_probs, _ = pmf_matrix(space(S.family), _bit_matrix(S), w, beta)
+    full_probs, _ = pmf_matrix(space(S.family), S.bits, w, beta)
     inside = np.add.reduceat(full_probs[sets.indices, sets.samples], sets.offsets[:-1])
     return float(-(q * (1.0 - inside)).mean())
 
@@ -112,7 +105,6 @@ def loss_gap(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]], beta: fl
 def hamming_loss(w, S: Dataset) -> LossReport:
     """Mean normalized Hamming distance between the MAP decode and the truth."""
     sp = space(S.family)
-    y_idx = _true_indices(S)
-    pred = np.argmax(sp.score_matrix(_bit_matrix(S), as_weights(w)), axis=0)
-    dist = sp.pair_distances(pred, y_idx)
+    pred = np.argmax(sp.score_matrix(S.bits, as_weights(w)), axis=0)
+    dist = sp.pair_distances(pred, S.indices)
     return _report(dist / S.family.hamming_normalizer, LossKind.HAMMING)

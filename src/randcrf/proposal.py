@@ -21,7 +21,7 @@ import numpy as np
 
 from .gumbel_crf import (CandidateSets, _feature_positions, _pad_features, _sum_at,
                          as_candidate_sets, as_weights)
-from .losses import Dataset, _true_indices
+from .losses import Dataset
 from .spaces import EnumeratedSpace, StructureFamily, StructuredOutput, input_bits, space
 
 
@@ -161,8 +161,8 @@ def build_candidate_sets(family: StructureFamily, S: Dataset, w,
     generator, iterating samples outermost, and deduplicating the results.
     """
     sp = space(family)
-    xw_pad = _pad_features(np.asarray(S.inputs, dtype=np.float64) * as_weights(w))
-    keys = _unique_keys(_batch_end_keys(sp, xw_pad, _true_indices(S), cfg.alpha, cfg.k,
+    xw_pad = _pad_features(S.bits * as_weights(w))
+    keys = _unique_keys(_batch_end_keys(sp, xw_pad, S.indices, cfg.alpha, cfg.k,
                                         cfg.n_target, rng))
     return CandidateSets.from_keys(family, keys, S.m)
 
@@ -171,7 +171,7 @@ def augment(T: Sequence[Sequence[StructuredOutput]], S: Dataset) -> CandidateSet
     """Force each candidate set to contain its sample's observed structure."""
     sp = space(S.family)
     sets = as_candidate_sets(T, S.family, S.m)
-    return _augment_keys(sp, sets.samples * sp.size + sets.indices, _true_indices(S))
+    return _augment_keys(sp, sets.samples * sp.size + sets.indices, S.indices)
 
 
 def proposal_quality_frequency(family: StructureFamily, S: Dataset, w,
@@ -184,8 +184,8 @@ def proposal_quality_frequency(family: StructureFamily, S: Dataset, w,
     """
     sets = as_candidate_sets(T, family, S.m)
     wv = as_weights(w)
-    scores = space(family).score_matrix(np.asarray(S.inputs, dtype=np.float64), wv)
-    y_idx = _true_indices(S)
+    scores = space(family).score_matrix(S.bits, wv)
+    y_idx = S.indices
     smp, cand, cols = sets.samples, sets.indices, np.arange(S.m)
     with np.errstate(invalid="ignore"):  # an empty set has no mean score and fails
         set_mean = np.bincount(smp, weights=scores[cand, smp], minlength=S.m) / sets.counts

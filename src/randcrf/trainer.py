@@ -30,7 +30,7 @@ import numpy as np
 
 from .gumbel_crf import (CandidateSets, _feature_positions, _pad_features, _segment_pmfs,
                          _sum_at, as_candidate_sets, as_weights, pmf_matrix)
-from .losses import Dataset, LossKind, LossReport, _bit_matrix, _true_indices
+from .losses import Dataset, LossKind, LossReport
 from .proposal import _augment_keys, _batch_end_keys, alpha_schedule
 from .spaces import StructuredOutput, space
 
@@ -123,8 +123,9 @@ def beta_schedule(m, r: int) -> float:
 
 
 def _feature_rows(sp, idx):
-    """The rows ``incidence[idx]``, rebuilt from ``feature_indices`` so that
-    the segment terms read no size x d table."""
+    """The rows ``incidence[idx]``, rebuilt from ``feature_indices``: every
+    term builds its feature rows here, and the size x d table is read only
+    by the full-space products."""
     positions = sp.feature_indices[:, idx]
     rows = np.zeros((idx.size, sp.family.feature_dim + 1))
     rows[np.arange(idx.size), positions] = 1.0
@@ -148,7 +149,7 @@ def _gain_terms_full(sp, X, y_idx, w, beta):
     probs, _ = pmf_matrix(sp, X, w, beta)
     q = probs[y_idx, np.arange(len(y_idx))]
     expected = (sp.incidence.T @ probs).T * X
-    observed = sp.incidence[y_idx] * X
+    observed = _feature_rows(sp, y_idx) * X
     return q, observed - expected
 
 
@@ -180,8 +181,7 @@ def _gain_terms(w, S, Tbar, beta):
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     sp = space(S.family)
-    X = _bit_matrix(S)
-    y_idx = _true_indices(S)
+    X, y_idx = S.bits, S.indices
     sets = as_candidate_sets(Tbar, S.family, S.m)
     if sets.full_space:
         return _gain_terms_full(sp, X, y_idx, w, beta)
@@ -201,7 +201,7 @@ def _hinge_terms_full(sp, X, y_idx, w, dist_cols):
     best = np.argmax(scores + dist_cols, axis=0)
     cols = np.arange(len(y_idx))
     margins = (scores + dist_cols)[best, cols] - scores[y_idx, cols]
-    grad = ((sp.incidence[best] - sp.incidence[y_idx]) * X).mean(axis=0)
+    grad = ((_feature_rows(sp, best) - _feature_rows(sp, y_idx)) * X).mean(axis=0)
     return margins, grad
 
 
@@ -225,8 +225,7 @@ def hinge_loss(w, S: Dataset, candidates: Sequence[Sequence[StructuredOutput]]) 
     """Margin-rescaled structured hinge over the given per-sample candidates:
     mean of max_y(score(y) + hamming(y, y_i)) - score(y_i)."""
     sp = space(S.family)
-    X = _bit_matrix(S)
-    y_idx = _true_indices(S)
+    X, y_idx = S.bits, S.indices
     sets = as_candidate_sets(candidates, S.family, S.m)
     if sets.full_space:
         margins, _ = _hinge_terms_full(sp, X, y_idx, w, _distance_columns(sp, y_idx))
@@ -255,9 +254,7 @@ def train_svm(S: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 
 def _train(S: Dataset, cfg: TrainConfig):
     sp = space(S.family)
-    X = _bit_matrix(S)
-    y_idx = _true_indices(S)
-    m = S.m
+    X, y_idx, m = S.bits, S.indices, S.m
     randomized = cfg.method in RANDOMIZED_METHODS
     is_crf = cfg.method in (Method.CRF_ALL, Method.CRF_RAND)
     beta = None

@@ -114,6 +114,22 @@ def test_repetition_reruns_identically(smoke_records):
         assert a.weight_support == b.weight_support
 
 
+def test_repetition_looks_up_each_dataset_once(monkeypatch):
+    from randcrf.spaces import EnumeratedSpace
+    calls = []
+    indices = EnumeratedSpace.indices
+
+    def counted(self, ys):
+        calls.append(len(ys))
+        return indices(self, ys)
+
+    monkeypatch.setattr(EnumeratedSpace, "indices", counted)
+    cfg = ExperimentConfig(family=SET36, m_train=12, m_test=9, repetitions=1, iterations=2)
+    records = run_repetition(cfg, 0)
+    assert [r.method for r in records] == [m.value for m in Method]
+    assert calls == [12, 9]  # the training set, then the test set
+
+
 def test_train_and_test_draws_differ(smoke_records):
     cfg, _ = smoke_records
     w = generate_ground_truth(cfg.family, 0)

@@ -67,9 +67,27 @@ def test_exact_loss_invariant_under_permutation():
 
 def test_dataset_rejects_invalid_structures():
     fam = SubsetFamily(2, 4)
+    good = space(fam).outputs[3]
     bad = StructuredOutput(fam, (0,))  # wrong cardinality
-    with pytest.raises(ValueError):
-        Dataset(fam, np.ones((1, fam.feature_dim), dtype=np.uint8), (bad,))
+    foreign = StructuredOutput(SubsetFamily(2, 5), (0, 1))  # valid components, other family
+    X = np.ones((3, fam.feature_dim), dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"^\(0,\) is not a valid structure of"):
+        Dataset(fam, X, (good, bad, foreign))
+    with pytest.raises(ValueError, match=r"^\(0, 1\) is a structure of .*, not of "):
+        Dataset(fam, X, (good, foreign, bad))
+
+
+def test_dataset_resolves_its_outputs_once(monkeypatch):
+    fam = SpanningTreeFamily(4)
+    X, ys, _ = random_instance(fam, np.random.default_rng(13), m=7)
+
+    def is_valid(self, components):
+        raise AssertionError("Dataset validated an output a second way")
+
+    monkeypatch.setattr(SpanningTreeFamily, "is_valid", is_valid)
+    S = Dataset(fam, X, ys)
+    assert S.indices.tolist() == [space(fam).index(y) for y in S.outputs]
+    assert S.bits.dtype == np.float64 and np.array_equal(S.bits, S.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +103,17 @@ def test_randomized_loss_singleton_support_is_zero():
     assert rep.kind is LossKind.RANDOMIZED_AUGMENTED
 
 
-def test_randomized_loss_on_full_space_equals_exact():
+def test_randomized_loss_on_full_space_equals_exact(monkeypatch):
+    # the full support takes the segment path, so this compares it with the dense one
+    from randcrf import losses
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].full_space)
+        return segment_pmfs(*args)
+
+    segment_pmfs = losses._segment_pmfs
+    monkeypatch.setattr(losses, "_segment_pmfs", counted)
     rng = np.random.default_rng(6)
     S, w = make_dataset(SET36, rng)
     full = [full_candidate_set(SET36)] * S.m
@@ -94,6 +122,7 @@ def test_randomized_loss_on_full_space_equals_exact():
         b = exact_crf_loss(w, S, beta)
         assert abs(a.value - b.value) <= 1e-12
         np.testing.assert_allclose(a.per_sample, b.per_sample, atol=1e-12)
+    assert calls == [True] * 3
 
 
 def test_randomized_loss_never_exceeds_exact():

@@ -10,7 +10,6 @@ from randcrf import (Dataset, DagFamily, FamilyTooLargeError, SpanningTreeFamily
                      StructuredOutput, SubsetFamily, feature_map, full_candidate_set, make_input,
                      space)
 from randcrf import spaces
-from randcrf.losses import _true_indices
 from randcrf.spaces import ordered_pair_index, unordered_pair_index
 
 from oracles import (brute_force_dag_components, brute_force_tree_components,
@@ -321,7 +320,7 @@ def check_outputs_lookups_and_masks(family, sp, ref):
         assert sp.index(ref.outputs[i]) == ref.index_of[ref.outputs[i].components] == i
     S = Dataset(family, np.zeros((picks.size, family.feature_dim), dtype=np.uint8),
                 tuple(ref.outputs[i] for i in picks))
-    np.testing.assert_array_equal(_true_indices(S), picks)
+    np.testing.assert_array_equal(S.indices, picks)
     masks = masks_reference(family, ref.outputs)
     assert sp.masks.dtype == masks.dtype and np.array_equal(sp.masks, masks)
 
