@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import EnumeratedSpace, StructureFamily, StructuredOutput, input_bits, space
+from .spaces import StructureFamily, StructuredOutput, input_bits, space
 
 
 def as_weights(w) -> np.ndarray:
@@ -166,8 +166,7 @@ def _support_scores(family: StructureFamily, x, w,
         return sp.score_matrix(bits, w)[:, 0]
     idx = sp.indices(support)
     _distinct(idx)
-    xw_pad = _pad_features(bits * w)
-    return _sum_at(xw_pad, _feature_positions(sp, xw_pad.shape[1], 0, idx))
+    return sp.gather_scores(bits * w, 0, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -221,40 +220,18 @@ def pmf_matrix(sp, bit_matrix: np.ndarray, w, beta: float) -> tuple[np.ndarray, 
 
 
 # ---------------------------------------------------------------------------
-# scores and restricted CRF distributions over flat candidate segments
+# restricted CRF distributions over flat candidate segments
 
 
-def _pad_features(xw: np.ndarray) -> np.ndarray:
-    # trailing zero column absorbs the sentinel index of feature_indices
-    return np.concatenate([xw, np.zeros((xw.shape[0], 1))], axis=1)
-
-
-def _feature_positions(sp: EnumeratedSpace, d1: int, rows, cand) -> np.ndarray:
-    """(width x n) positions, in a row-major padded matrix with ``d1``
-    columns, of the active features of output ``cand[e]`` under row
-    ``rows[e]``."""
-    pos = sp.feature_indices.take(cand, axis=1)
-    pos += rows * d1
-    return pos
-
-
-def _sum_at(xw_pad, positions) -> np.ndarray:
-    """Column sums of the entries of ``xw_pad`` at ``positions``.  numpy adds
-    across the rows of a C-ordered array one row at a time, so every sum
-    runs in ascending feature order."""
-    return np.add.reduce(xw_pad.ravel().take(positions), axis=0)
-
-
-def _segment_pmfs(sets: CandidateSets, y_idx: np.ndarray, xw_pad: np.ndarray):
+def _segment_pmfs(sets: CandidateSets, y_idx: np.ndarray, xw: np.ndarray):
     """Restricted CRF pmfs of all flat candidates (each sample's softmax of
-    its rows of the padded X * (w / beta) over its own set), the flat
-    positions of the observed outputs, and the candidates' feature positions."""
+    its row of X * (w / beta) over its own set) and the flat positions of the
+    observed outputs."""
     y_flat = sets.observed_positions(y_idx)
     smp = sets.samples
-    positions = _feature_positions(space(sets.family), xw_pad.shape[1], smp, sets.indices)
-    s = _sum_at(xw_pad, positions)
+    s = space(sets.family).gather_scores(xw, smp, sets.indices)
     starts = sets.offsets[:-1]
     shift = np.maximum.reduceat(s, starts)
     e = np.exp(s - shift[smp])
     z = np.add.reduceat(e, starts)
-    return e / z[smp], y_flat, positions
+    return e / z[smp], y_flat

@@ -21,7 +21,6 @@ import numpy as np
 
 from .gumbel_crf import as_weights, full_candidate_set
 from .losses import Dataset, exact_crf_loss, hamming_loss
-from .proposal import warm_proposal_tables
 from .spaces import (DagFamily, SpanningTreeFamily, StructureFamily, StructuredOutput,
                      SubsetFamily, space)
 from .trainer import (Method, TrainConfig, TrainTrace, beta_schedule, hinge_loss,
@@ -219,7 +218,7 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord
     if any(m in (Method.CRF_RAND, Method.SVM_RAND) for m in cfg.methods):
         # one-time per-process table builds stay outside the per-method
         # training timers
-        warm_proposal_tables(family, cfg.neighborhood_k)
+        sp.neighbor_csr(cfg.neighborhood_k)
 
     records = []
     for method in cfg.methods:

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import _pad_features, _segment_pmfs, as_candidate_sets, as_weights, pmf_matrix
+from .gumbel_crf import _segment_pmfs, as_candidate_sets, as_weights, pmf_matrix
 from .spaces import StructureFamily, StructuredOutput, space
 
 
@@ -86,8 +86,7 @@ def randomized_loss(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
     sets = as_candidate_sets(Tbar, S.family, S.m)
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    xw_pad = _pad_features(S.bits * (as_weights(w) / beta))
-    p, y_flat, _ = _segment_pmfs(sets, S.indices, xw_pad)
+    p, y_flat = _segment_pmfs(sets, S.indices, S.bits * (as_weights(w) / beta))
     return _report(1.0 - p[y_flat], LossKind.RANDOMIZED_AUGMENTED)
 
 

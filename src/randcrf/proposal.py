@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import (CandidateSets, _feature_positions, _pad_features, _sum_at,
-                         as_candidate_sets, as_weights)
+from .gumbel_crf import CandidateSets, as_candidate_sets, as_weights
 from .losses import Dataset
 from .spaces import EnumeratedSpace, StructureFamily, StructuredOutput, input_bits, space
 
@@ -52,14 +51,15 @@ def alpha_schedule(w, m: int) -> float:
 # ---------------------------------------------------------------------------
 # scores and the greedy pass over precomputed neighbor tables
 #
-# A score sums the input*weight entries at an output's active features in
-# ascending feature order, gathered for each scored (sample, output) pair
-# alone.  A pass therefore costs in proportion to the outputs it scores, not
-# to the size of the space, and its sums are numpy's, fixed by the order of
-# the features rather than by any BLAS kernel.
+# A score is the space's ``gather_scores``: the input*weight entries at an
+# output's active features, added in ascending feature order and gathered
+# for each scored (sample, output) pair alone.  A pass therefore costs in
+# proportion to the outputs it scores, not to the size of the space, and its
+# sums are numpy's, fixed by the order of the features rather than by any
+# BLAS kernel.
 
 
-def _greedy_pairs(sp: EnumeratedSpace, xw_pad, pair_smp, pair_start, k: int) -> np.ndarray:
+def _greedy_pairs(sp: EnumeratedSpace, xw, pair_smp, pair_start, k: int) -> np.ndarray:
     """End of the greedy pass for each (sample, start) pair.
 
     Each pair gets a segment holding its start followed by the start's
@@ -81,7 +81,7 @@ def _greedy_pairs(sp: EnumeratedSpace, xw_pad, pair_smp, pair_start, k: int) -> 
     pos += np.arange(end[-1])
     cand = data.take(pos)
     cand[first] = pair_start
-    s = _sum_at(xw_pad, _feature_positions(sp, xw_pad.shape[1], pair_smp.repeat(size), cand))
+    s = sp.gather_scores(xw, pair_smp.repeat(size), cand)
     top = np.maximum.reduceat(s, first)
     hit = (s == top.repeat(size)).nonzero()[0]
     return cand[hit[hit.searchsorted(end) - 1]]
@@ -104,17 +104,6 @@ def _augment_keys(sp: EnumeratedSpace, keys: np.ndarray, y_idx: np.ndarray) -> C
     return CandidateSets.from_keys(sp.family, merged, m)
 
 
-def warm_proposal_tables(family: StructureFamily, k: int) -> None:
-    """Build the family's neighbor table and feature index table.
-
-    One-time per-process setup, exposed so harnesses can keep it out of
-    training-time measurements.
-    """
-    sp = space(family)
-    sp.neighbor_csr(k)
-    _ = sp.feature_indices
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -128,12 +117,12 @@ def propose(family: StructureFamily, x, y_observed: StructuredOutput, w,
     ``build_candidate_sets`` relies on this fixed pattern to batch draws.
     """
     sp = space(family)
-    xw_pad = _pad_features((input_bits(family, x) * as_weights(w))[None, :])
-    end = _batch_end_keys(sp, xw_pad, np.array([sp.index(y_observed)]), cfg.alpha, cfg.k, 1, rng)
+    xw = (input_bits(family, x) * as_weights(w))[None, :]
+    end = _batch_end_keys(sp, xw, np.array([sp.index(y_observed)]), cfg.alpha, cfg.k, 1, rng)
     return sp.outputs[int(end[0])]
 
 
-def _batch_end_keys(sp: EnumeratedSpace, xw_pad, y_idx, alpha: float, k: int,
+def _batch_end_keys(sp: EnumeratedSpace, xw, y_idx, alpha: float, k: int,
                     n_target: int, rng: np.random.Generator) -> np.ndarray:
     """Sample-major keys sample * size + end for all draws, one per distinct
     (sample, start) pair; ends may repeat.
@@ -149,7 +138,7 @@ def _batch_end_keys(sp: EnumeratedSpace, xw_pad, y_idx, alpha: float, k: int,
     first[:, 0] = True
     np.not_equal(starts[:, 1:], starts[:, :-1], out=first[:, 1:])
     pair_smp = first.nonzero()[0]
-    return pair_smp * sp.size + _greedy_pairs(sp, xw_pad, pair_smp, starts[first], k)
+    return pair_smp * sp.size + _greedy_pairs(sp, xw, pair_smp, starts[first], k)
 
 
 def build_candidate_sets(family: StructureFamily, S: Dataset, w,
@@ -159,10 +148,12 @@ def build_candidate_sets(family: StructureFamily, S: Dataset, w,
 
     Equivalent to invoking ``propose`` n_target times per sample on the given
     generator, iterating samples outermost, and deduplicating the results.
+    ``family`` must be the dataset's own; another is refused before any draw.
     """
+    if family != S.family:
+        raise ValueError(f"dataset of {S.family} given for {family}")
     sp = space(family)
-    xw_pad = _pad_features(S.bits * as_weights(w))
-    keys = _unique_keys(_batch_end_keys(sp, xw_pad, S.indices, cfg.alpha, cfg.k,
+    keys = _unique_keys(_batch_end_keys(sp, S.bits * as_weights(w), S.indices, cfg.alpha, cfg.k,
                                         cfg.n_target, rng))
     return CandidateSets.from_keys(family, keys, S.m)
 

@@ -260,8 +260,9 @@ StructureFamily = Union[SubsetFamily, SpanningTreeFamily, DagFamily]
 # (``_components``): a row per output, its components ascending and padded
 # with -1, rows in the lexicographic order of the component tuples.  It maps
 # such rows to the feature columns they fire (``_feature_cells``), padded
-# with -1 where the components are; one output's ``feature_map``, the
-# space's incidence matrix and its ``feature_indices`` all come from that map.
+# with -1 where the components are; one output's ``feature_map`` and the
+# space's ``feature_indices``, which only the space's own methods read,
+# come from that map.
 
 
 def _unordered_pair_columns(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -432,11 +433,11 @@ class EnumeratedSpace:
     array (row y lists output y's components ascending, padded with -1):
     ``outputs`` makes each ``StructuredOutput`` on first access, ``masks``
     packs each row's components into bits (``indices`` looks structures up
-    in them), ``feature_indices`` lists each row's features, and
-    ``incidence`` is the (size x feature_dim) 0/1 matrix whose row y is the
-    feature-grid incidence of output y, so the feature vector of (x, y) is
-    ``incidence[y] * x`` and ``score_matrix`` scores every output for a
-    batch of inputs in one matrix product.
+    in them), and ``feature_indices`` lists each row's features.  Only the
+    space's own methods read that layout: ``gather_scores`` and
+    ``score_matrix`` score outputs, ``feature_rows`` builds their 0/1 rows
+    (``incidence`` holds all of them), and ``feature_sums`` and
+    ``feature_sums_full`` add weighted rows up.
     """
 
     def __init__(self, family: StructureFamily, components: np.ndarray):
@@ -447,29 +448,20 @@ class EnumeratedSpace:
         rows, slots = np.nonzero(components >= 0)
         self.masks = _packed_masks(rows, components[rows, slots], self.size,
                                    (family.component_count + 63) // 64)
-        cells = family._feature_cells(components)
-        rows, slots = np.nonzero(cells >= 0)
-        self.incidence = np.zeros((self.size, family.feature_dim))
-        self.incidence[rows, cells[rows, slots]] = 1.0
+        d = family.feature_dim
+        cells = family._feature_cells(components).astype(np.int64)
+        cells[cells < 0] = d
+        cells.sort(axis=1)
+        if not cells.shape[1]:  # no output fires a feature (subsets of one element)
+            cells = np.full((self.size, 1), d, dtype=np.int64)
+        #: (max_nnz x size): column y lists output y's active features
+        #: ascending, padded with the sentinel ``feature_dim``, which the
+        #: methods point at a zero column.  Row-major, so gathering one slot
+        #: for many outputs reads a contiguous row.
+        self.feature_indices = np.ascontiguousarray(cells.T)
+        self.incidence = self.feature_rows(np.arange(self.size))
         self._neighbor_csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._feature_indices: np.ndarray | None = None
         self._masks_sorted: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def feature_indices(self) -> np.ndarray:
-        """(max_nnz x size) indices of each output's active feature coordinates:
-        column y lists output y's coordinates ascending, padded with the
-        sentinel ``feature_dim`` (pointing at a zero column).  Row-major, so
-        gathering one slot for many outputs reads a contiguous row."""
-        if self._feature_indices is None:
-            d = self.family.feature_dim
-            cells = self.family._feature_cells(self.components).astype(np.int64)
-            cells[cells < 0] = d
-            cells.sort(axis=1)
-            if not cells.shape[1]:  # no output fires a feature (subsets of one element)
-                cells = np.full((self.size, 1), d, dtype=np.int64)
-            self._feature_indices = np.ascontiguousarray(cells.T)
-        return self._feature_indices
 
     def neighbor_csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """CSR (indptr, data) of the distance-<=k neighbor lists of every output,
@@ -543,6 +535,45 @@ class EnumeratedSpace:
     def score_matrix(self, bit_matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(size x m) scores for a batch of inputs given as an (m x d) bit matrix."""
         return self.incidence @ (bit_matrix * w).T
+
+    def gather_scores(self, xw: np.ndarray, rows, idx: np.ndarray) -> np.ndarray:
+        """Score of output ``idx[e]`` under row ``rows[e]`` of the (n x d)
+        input*weight matrix ``xw``, for every entry e: that row's entries
+        at the output's active features, gathered for the pair alone.
+        numpy adds across the rows of a C-ordered array one row at a time,
+        so each sum runs in ascending feature order, whatever the BLAS (but
+        a lone pair from a table 8 or more wide is added pairwise)."""
+        padded = np.concatenate([xw, np.zeros((xw.shape[0], 1))], axis=1)
+        positions = self.feature_indices.take(idx, axis=1)
+        positions += rows * padded.shape[1]
+        return np.add.reduce(padded.ravel().take(positions), axis=0)
+
+    def feature_sums(self, weights: np.ndarray, rows, idx: np.ndarray, m: int) -> np.ndarray:
+        """(m x d) sums: row i adds ``weights[e] * incidence[idx[e]]`` over
+        the entries e with ``rows[e] == i``, each coordinate in entry order
+        (a row that no entry names is zero)."""
+        d1 = self.family.feature_dim + 1
+        positions = self.feature_indices.take(idx, axis=1)
+        positions += rows * d1
+        # entry-major order, so each feature accumulates in entry order
+        sums = np.bincount(positions.T.ravel(), weights=weights.repeat(positions.shape[0]),
+                           minlength=m * d1)
+        return sums.reshape(m, d1)[:, :-1]
+
+    def feature_sums_full(self, probs: np.ndarray) -> np.ndarray:
+        """(m x d) sums over the whole space: row i adds ``probs[y, i] *
+        incidence[y]`` over every output y, in one BLAS product
+        ``incidence.T @ probs`` whose rounding is the kernel's (and varies
+        with its thread count)."""
+        return (self.incidence.T @ probs).T
+
+    def feature_rows(self, idx: np.ndarray) -> np.ndarray:
+        """The 0/1 feature rows ``incidence[idx]``, built from
+        ``feature_indices``: an (n x d) view of rows one column wider, where
+        the padding lands."""
+        rows = np.zeros((idx.size, self.family.feature_dim + 1))
+        rows[np.arange(idx.size), self.feature_indices[:, idx]] = 1.0
+        return rows[:, :-1]
 
     def pair_distances(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Elementwise symmetric-difference sizes between two index arrays."""

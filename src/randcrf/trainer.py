@@ -28,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import (CandidateSets, _feature_positions, _pad_features, _segment_pmfs,
-                         _sum_at, as_candidate_sets, as_weights, pmf_matrix)
+from .gumbel_crf import CandidateSets, _segment_pmfs, as_candidate_sets, as_weights, pmf_matrix
 from .losses import Dataset, LossKind, LossReport
 from .proposal import _augment_keys, _batch_end_keys, alpha_schedule
 from .spaces import StructuredOutput, space
@@ -122,34 +121,19 @@ def beta_schedule(m, r: int) -> float:
 # log-likelihood and gain terms
 
 
-def _feature_rows(sp, idx):
-    """The rows ``incidence[idx]``, rebuilt from ``feature_indices``: every
-    term builds its feature rows here, and the size x d table is read only
-    by the full-space products."""
-    positions = sp.feature_indices[:, idx]
-    rows = np.zeros((idx.size, sp.family.feature_dim + 1))
-    rows[np.arange(idx.size), positions] = 1.0
-    return rows[:, :-1]
-
-
-def _gain_terms_segments(sp, X, sets: CandidateSets, y_idx, xw_pad):
-    """``xw_pad``: the padded input*weight matrix X * (w / beta)."""
-    m, d = X.shape
-    p, y_flat, positions = _segment_pmfs(sets, y_idx, xw_pad)
-    q = p[y_flat]
-    # candidate-major order, so each feature accumulates in candidate order
-    flat_feat = positions.T.ravel()
-    expected = np.bincount(flat_feat, weights=p.repeat(positions.shape[0]),
-                           minlength=m * (d + 1)).reshape(m, d + 1)[:, :d] * X
-    observed = _feature_rows(sp, y_idx) * X
-    return q, observed - expected
+def _gain_terms_segments(sp, X, sets: CandidateSets, y_idx, xw):
+    """``xw``: the input*weight matrix X * (w / beta)."""
+    p, y_flat = _segment_pmfs(sets, y_idx, xw)
+    expected = sp.feature_sums(p, sets.samples, sets.indices, len(y_idx)) * X
+    observed = sp.feature_rows(y_idx) * X
+    return p[y_flat], observed - expected
 
 
 def _gain_terms_full(sp, X, y_idx, w, beta):
     probs, _ = pmf_matrix(sp, X, w, beta)
     q = probs[y_idx, np.arange(len(y_idx))]
-    expected = (sp.incidence.T @ probs).T * X
-    observed = _feature_rows(sp, y_idx) * X
+    expected = sp.feature_sums_full(probs) * X
+    observed = sp.feature_rows(y_idx) * X
     return q, observed - expected
 
 
@@ -185,7 +169,7 @@ def _gain_terms(w, S, Tbar, beta):
     sets = as_candidate_sets(Tbar, S.family, S.m)
     if sets.full_space:
         return _gain_terms_full(sp, X, y_idx, w, beta)
-    return _gain_terms_segments(sp, X, sets, y_idx, _pad_features(X * (as_weights(w) / beta)))
+    return _gain_terms_segments(sp, X, sets, y_idx, X * (as_weights(w) / beta))
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +185,14 @@ def _hinge_terms_full(sp, X, y_idx, w, dist_cols):
     best = np.argmax(scores + dist_cols, axis=0)
     cols = np.arange(len(y_idx))
     margins = (scores + dist_cols)[best, cols] - scores[y_idx, cols]
-    grad = ((_feature_rows(sp, best) - _feature_rows(sp, y_idx)) * X).mean(axis=0)
+    grad = ((sp.feature_rows(best) - sp.feature_rows(y_idx)) * X).mean(axis=0)
     return margins, grad
 
 
-def _hinge_terms_segments(sp, X, sets: CandidateSets, y_idx, xw_pad):
+def _hinge_terms_segments(sp, X, sets: CandidateSets, y_idx, xw):
     y_flat = sets.observed_positions(y_idx)
     smp, cand = sets.samples, sets.indices
-    s = _sum_at(xw_pad, _feature_positions(sp, xw_pad.shape[1], smp, cand))
+    s = sp.gather_scores(xw, smp, cand)
     dist = sp.pair_distances(cand, y_idx[smp]) / sp.family.hamming_normalizer
     aug = s + dist
     starts = sets.offsets[:-1]
@@ -217,7 +201,7 @@ def _hinge_terms_segments(sp, X, sets: CandidateSets, y_idx, xw_pad):
     eligible = np.where(aug == seg_max[smp], np.arange(aug.size), aug.size)
     best = cand[np.minimum.reduceat(eligible, starts)]
     margins = seg_max - s[y_flat]
-    grad = ((_feature_rows(sp, best) - _feature_rows(sp, y_idx)) * X).mean(axis=0)
+    grad = ((sp.feature_rows(best) - sp.feature_rows(y_idx)) * X).mean(axis=0)
     return margins, grad
 
 
@@ -230,7 +214,7 @@ def hinge_loss(w, S: Dataset, candidates: Sequence[Sequence[StructuredOutput]]) 
     if sets.full_space:
         margins, _ = _hinge_terms_full(sp, X, y_idx, w, _distance_columns(sp, y_idx))
     else:
-        margins, _ = _hinge_terms_segments(sp, X, sets, y_idx, _pad_features(X * as_weights(w)))
+        margins, _ = _hinge_terms_segments(sp, X, sets, y_idx, X * as_weights(w))
     return LossReport(float(margins.mean()), margins, LossKind.HINGE)
 
 
@@ -267,23 +251,21 @@ def _train(S: Dataset, cfg: TrainConfig):
 
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(sp.family.feature_dim)
-    xw_pad = np.zeros((m, sp.family.feature_dim + 1))
     sets = None
     rows = []
     for t in range(1, cfg.iterations + 1):
         tic = time.perf_counter()
         step = step0 / math.sqrt(t)
         if randomized:
-            np.multiply(X, w, out=xw_pad[:, :-1])
+            xw = X * w
             alpha = alpha_schedule(w, m)
-            sets = _augment_keys(sp, _batch_end_keys(sp, xw_pad, y_idx, alpha, cfg.neighborhood_k,
+            sets = _augment_keys(sp, _batch_end_keys(sp, xw, y_idx, alpha, cfg.neighborhood_k,
                                                      n_target, rng), y_idx)
         if is_crf:
             if cfg.method is Method.CRF_ALL:
                 q, diff = _gain_terms_full(sp, X, y_idx, w, beta)
             else:
-                np.multiply(X, w / beta, out=xw_pad[:, :-1])
-                q, diff = _gain_terms_segments(sp, X, sets, y_idx, xw_pad)
+                q, diff = _gain_terms_segments(sp, X, sets, y_idx, X * (w / beta))
             objective = float(1.0 - q.mean())
             g = diff.mean(axis=0) / beta
             w = w + step * g
@@ -291,7 +273,7 @@ def _train(S: Dataset, cfg: TrainConfig):
             if cfg.method is Method.SVM_ALL:
                 margins, g = _hinge_terms_full(sp, X, y_idx, w, dist_cols)
             else:
-                margins, g = _hinge_terms_segments(sp, X, sets, y_idx, xw_pad)
+                margins, g = _hinge_terms_segments(sp, X, sets, y_idx, xw)
             objective = float(margins.mean())
             w = w - step * g
         w = soft_threshold(w, step * cfg.l1_lambda)

@@ -272,6 +272,26 @@ def feature_indices_reference(incidence):
     return out
 
 
+def gather_scores_reference(incidence, xw, rows, idx):
+    """Score of output ``idx[e]`` under row ``rows[e]`` of ``xw``, one pair
+    at a time, adding its active features in ascending order."""
+    scores = np.zeros(len(idx))
+    for e, (i, y) in enumerate(zip(rows, idx)):
+        for j in np.nonzero(incidence[y])[0]:
+            scores[e] += xw[i, j]
+    return scores
+
+
+def feature_sums_reference(incidence, weights, rows, idx, m):
+    """Row i adds ``weights[e] * incidence[idx[e]]`` over the entries e with
+    ``rows[e] == i``, one entry at a time in entry order."""
+    sums = np.zeros((m, incidence.shape[1]))
+    for weight, i, y in zip(weights, rows, idx):
+        for j in np.nonzero(incidence[y])[0]:
+            sums[i, j] += weight
+    return sums
+
+
 def neighbor_csr_references(masks, radii):
     """For each radius k, the CSR of the outputs at component distance 1..k
     from each output, from one int64 distance row per output."""

@@ -79,3 +79,12 @@ def test_every_export_is_used_or_kept():
     assert sorted(exports - used - KEEP) == [], "exported, but used only by tests"
     assert sorted(KEEP - exports) == [], "kept, but not exported"
     assert sorted(KEEP & used) == [], "kept, but now used: drop it from KEEP"
+
+
+def test_only_spaces_reads_the_feature_layout():
+    # the padded feature table has one owner: every other module scores,
+    # sums and builds feature rows through the space's methods
+    layout = {"feature_indices", "incidence"}
+    readers = {path.name: sorted(layout & _names_used([path]))
+               for path in (SRC / "randcrf").glob("*.py") if path.name != "spaces.py"}
+    assert {name: read for name, read in readers.items() if read} == {}

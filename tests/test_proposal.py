@@ -180,7 +180,7 @@ def test_pass_keeps_starts_without_neighbors():
     # emptied neighbor lists for every other output leave one-entry segments
     # (the start alone) between ordinary ones
     from types import SimpleNamespace
-    from randcrf.proposal import _greedy_pairs, _pad_features
+    from randcrf.proposal import _greedy_pairs
 
     sp = space(SET36)
     indptr, data = sp.neighbor_csr(2)
@@ -188,13 +188,13 @@ def test_pass_keeps_starts_without_neighbors():
     counts = np.where(keep, np.diff(indptr), 0)
     sparse_indptr = np.concatenate([[0], np.cumsum(counts)])
     sparse_data = np.concatenate([data[indptr[i]:indptr[i + 1]] for i in np.flatnonzero(keep)])
-    stub = SimpleNamespace(size=sp.size, feature_indices=sp.feature_indices,
+    stub = SimpleNamespace(size=sp.size, gather_scores=sp.gather_scores,
                            neighbor_csr=lambda k: (sparse_indptr, sparse_data))
     rng = np.random.default_rng(21)
     xw = rng.integers(-3, 4, size=(4, SET36.feature_dim)).astype(np.float64)
     pair_smp = np.repeat(np.arange(4), 5)
     pair_start = rng.integers(0, sp.size, pair_smp.size)
-    ends = _greedy_pairs(stub, _pad_features(xw), pair_smp, pair_start, 2)
+    ends = _greedy_pairs(stub, xw, pair_smp, pair_start, 2)
     scores = xw @ sp.incidence.T
     for i, start, end in zip(pair_smp, pair_start, ends):
         current = start
@@ -202,6 +202,19 @@ def test_pass_keeps_starts_without_neighbors():
             if scores[i, nb] >= scores[i, current]:
                 current = nb
         assert end == current
+
+
+def test_build_refuses_another_family_before_drawing():
+    # S's positions read in another space are other outputs: set:2,6 would
+    # return (0, 1) for an observed (0, 1, 2)
+    S = make_dataset(SET36, np.random.default_rng(12))
+    rng = np.random.default_rng(13)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"SubsetFamily\(k=3, universe=6\).*"
+                                         r"SubsetFamily\(k=2, universe=6\)"):
+        build_candidate_sets(SubsetFamily(2, 6), S, np.zeros(SET36.feature_dim),
+                             ProposalConfig(alpha=0.5, k=2, n_target=3), rng)
+    assert rng.bit_generator.state == state
 
 
 def test_build_is_deterministic():

@@ -13,7 +13,8 @@ from randcrf import spaces
 from randcrf.spaces import ordered_pair_index, unordered_pair_index
 
 from oracles import (brute_force_dag_components, brute_force_tree_components,
-                     component_distance, edge_of, feature_indices_reference, hamming,
+                     component_distance, edge_of, feature_indices_reference,
+                     feature_sums_reference, gather_scores_reference, hamming,
                      incidence_reference, masks_reference, neighbor_csr_references,
                      neighbor_indices, neighbors_k, tuple_space)
 
@@ -403,6 +404,43 @@ def test_empty_dag_has_an_empty_feature_column():
     assert sp.outputs[0].components == ()
     assert not sp.incidence[0].any()
     assert (sp.feature_indices[:, 0] == DagFamily(3, 2).feature_dim).all()
+
+
+# Every score, feature sum and feature row outside spaces.py goes through
+# these methods; dag:4,2 holds outputs with fewer edges than the table is
+# wide (the empty DAG has none), so sentinel entries are gathered and summed.
+@pytest.mark.parametrize("family", [SubsetFamily(3, 6), SpanningTreeFamily(4), DagFamily(4, 2)],
+                         ids=repr)
+def test_feature_layout_methods_match_per_pair_loops(family):
+    sp = space(family)
+    incidence = incidence_reference(family, tuple_space(family).outputs)
+    rng = np.random.default_rng(31)
+    m, n = 5, 80
+    xw = rng.normal(size=(m, family.feature_dim))
+    rows = rng.integers(0, m - 1, size=n)  # sample m - 1 has no entry
+    idx = np.concatenate([[0, sp.size - 1], rng.integers(0, sp.size, size=n - 2)])
+    if isinstance(family, DagFamily):
+        assert (sp.feature_indices[:, idx] == family.feature_dim).any()
+
+    rows_got = sp.feature_rows(idx)
+    assert rows_got.dtype == incidence.dtype and np.array_equal(rows_got, incidence[idx])
+    assert np.array_equal(sp.feature_rows(np.arange(sp.size)), incidence)
+
+    np.testing.assert_array_equal(sp.gather_scores(xw, rows, idx),
+                                  gather_scores_reference(incidence, xw, rows, idx))
+    one_row = gather_scores_reference(incidence, xw[2:3], np.zeros_like(idx), idx)
+    np.testing.assert_array_equal(sp.gather_scores(xw[2:3], 0, idx), one_row)
+
+    weights = rng.random(n)
+    sums = sp.feature_sums(weights, rows, idx, m)
+    np.testing.assert_array_equal(sums, feature_sums_reference(incidence, weights, rows, idx, m))
+    assert not sums[m - 1].any()
+
+    probs = rng.random((sp.size, m))
+    np.testing.assert_allclose(
+        sp.feature_sums_full(probs),
+        feature_sums_reference(incidence, probs.T.ravel(), np.arange(m).repeat(sp.size),
+                               np.tile(np.arange(sp.size), m), m), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
