@@ -119,7 +119,8 @@ BOUND_TABLE_HEADER = ("d", "s", "m", "n", "r", "delta", "l1",
 def bound_table(grid: dict[str, list]) -> list[tuple]:
     """Cartesian product of the grid values; ``l1`` feeds the approximation
     term as the weight vector's L1 norm (default 0).  A key other than
-    d, s, m, n, r, delta and l1 is an error."""
+    d, s, m, n, r, delta and l1 is an error, and so is an l1 that is
+    negative or not finite."""
     keys = ("d", "s", "m", "n", "r", "delta", "l1")
     unknown = sorted(set(grid) - set(keys))
     if unknown:
@@ -128,6 +129,9 @@ def bound_table(grid: dict[str, list]) -> list[tuple]:
     for k, v in zip(keys, values):
         if v is None:
             raise ValueError(f"grid is missing values for '{k}'")
+    for l1 in values[-1]:
+        if not (math.isfinite(l1) and l1 >= 0):
+            raise ValueError(f"l1 must be finite and >= 0, got {l1}")
     rows = []
     for d, s, m, n, r, delta, l1 in itertools.product(*values):
         w = np.array([l1])

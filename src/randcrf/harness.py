@@ -200,7 +200,7 @@ TIMING_COLUMNS = ("train_seconds",)
 
 def _train_method(method: Method, S_train: Dataset, cfg: ExperimentConfig,
                   seed: int) -> tuple[np.ndarray, TrainTrace]:
-    train = train_crf if method in (Method.CRF_ALL, Method.CRF_RAND) else train_svm
+    train = train_crf if method.is_crf else train_svm
     return train(S_train, cfg._train_config(method, seed))
 
 
@@ -215,7 +215,7 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord
     label = family_label(family)
     run_id = f"{label}-seed{cfg.master_seed}"
     full_sets = [full_candidate_set(family)] * S_train.m
-    if any(m in (Method.CRF_RAND, Method.SVM_RAND) for m in cfg.methods):
+    if any(m.randomized for m in cfg.methods):
         # one-time per-process table builds stay outside the per-method
         # training timers
         sp.neighbor_csr(cfg.neighborhood_k)
@@ -227,22 +227,21 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord
             w_hat, trace = _train_method(method, S_train, cfg,
                                          stream_seed(cfg.master_seed, repetition, "proposal", method))
             seconds = time.perf_counter() - tic
-            if method is Method.CRF_ALL:
-                train_loss = exact_crf_loss(w_hat, S_train, beta).value
-                train_loss_exact = train_loss
-            elif method is Method.CRF_RAND:
+            # an exact method's training loss is its exact loss; a randomized
+            # method's is taken over its final candidate sets
+            sets = trace.final_candidate_sets
+            if method.is_crf:
                 # imported here, not at module level: perfbench/measure.py times
                 # this loss by rebinding randcrf.losses.randomized_loss, which a
                 # name bound at import time would bypass
                 from .losses import randomized_loss
-                train_loss = randomized_loss(w_hat, S_train, trace.final_candidate_sets, beta).value
                 train_loss_exact = exact_crf_loss(w_hat, S_train, beta).value
-            elif method is Method.SVM_ALL:
-                train_loss = hinge_loss(w_hat, S_train, full_sets).value
-                train_loss_exact = train_loss
+                train_loss = (train_loss_exact if sets is None
+                              else randomized_loss(w_hat, S_train, sets, beta).value)
             else:
-                train_loss = hinge_loss(w_hat, S_train, trace.final_candidate_sets).value
                 train_loss_exact = hinge_loss(w_hat, S_train, full_sets).value
+                train_loss = (train_loss_exact if sets is None
+                              else hinge_loss(w_hat, S_train, sets).value)
             final = trace.rows[-1]
             records.append(MetricsRecord(
                 run_id=run_id,
@@ -259,7 +258,7 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord
                 weight_support=int(np.count_nonzero(w_hat)),
                 weight_l1=float(np.abs(w_hat).sum()),
                 beta=beta,
-                train_loss_support="full" if trace.final_candidate_sets is None else "final_sets",
+                train_loss_support="full" if sets is None else "final_sets",
             ))
         except Exception:
             log.exception("repetition %d method %s failed; continuing", repetition, method.value)

@@ -7,16 +7,17 @@ moment-matching gradient are also exposed (``log_gain``,
 ``log_gain_gradient``).  SVM baselines descend a margin-rescaled structured
 hinge with normalized Hamming distortion.  Both use the step schedule
 step0/sqrt(t), with step0 the Gumbel scale for CRF methods and 1 for SVM,
-followed by an L1 proximal (soft-threshold) step, and both come
-in an exact flavor (decoding over the full space) and a randomized flavor
-(decoding over sets of ``n_target`` fresh greedy draws per sample, by default
-ceil(sqrt(m)), over balls of radius ``neighborhood_k``, by default 2, with
-exploration probability ``alpha_schedule(w, m)`` of the current weights).
+followed by an L1 proximal (soft-threshold) step.
 
-Restricted-support quantities are computed on flat sample-major candidate
-arrays (segment reductions), which keeps the randomized methods' per-iteration
-cost proportional to the candidate sets rather than the output space.
-"""
+Each loss is trained over per-sample candidate sets (``CandidateSets``).  An
+exact method's sets are the full space for every sample; a randomized
+method's are ``n_target`` fresh greedy draws per sample, by default
+ceil(sqrt(m)), over balls of radius ``neighborhood_k``, by default 2, with
+exploration probability ``alpha_schedule(w, m)`` of the current weights.  The
+gain and hinge terms score the full space with one BLAS product and listed
+sets with flat sample-major segment reductions, which keeps the randomized
+methods' per-iteration cost proportional to the candidate sets rather than
+the output space."""
 
 from __future__ import annotations
 
@@ -28,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import CandidateSets, _segment_pmfs, as_candidate_sets, as_weights, pmf_matrix
+from .gumbel_crf import (CandidateSets, _segment_pmfs, as_candidate_sets, as_weights,
+                         full_candidate_set, pmf_matrix)
 from .losses import Dataset, LossKind, LossReport
 from .proposal import _augment_keys, _batch_end_keys, alpha_schedule
 from .spaces import StructuredOutput, space
@@ -40,8 +42,15 @@ class Method(Enum):
     SVM_ALL = "svm_all"
     SVM_RAND = "svm_rand"
 
+    @property
+    def is_crf(self) -> bool:
+        """The loss: the CRF log-likelihood (True) or the structured hinge (False)."""
+        return self in (Method.CRF_ALL, Method.CRF_RAND)
 
-RANDOMIZED_METHODS = (Method.CRF_RAND, Method.SVM_RAND)
+    @property
+    def randomized(self) -> bool:
+        """The support: sets drawn each iteration (True) or the full space (False)."""
+        return self in (Method.CRF_RAND, Method.SVM_RAND)
 
 
 @dataclass(frozen=True)
@@ -64,10 +73,12 @@ class TrainConfig:
             raise ValueError("n_target must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.l1_lambda < 0:
-            raise ValueError("l1_lambda must be >= 0")
+        if not (math.isfinite(self.l1_lambda) and self.l1_lambda >= 0):
+            raise ValueError(f"l1_lambda must be finite and >= 0, got {self.l1_lambda}")
         if self.beta is not None and not self.beta > 0:
             raise ValueError("beta must be positive")
+        if self.beta is not None and not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
 
     def resolved_n_target(self, m: int) -> int:
         return self.n_target if self.n_target is not None else math.ceil(math.sqrt(m))
@@ -121,25 +132,31 @@ def beta_schedule(m, r: int) -> float:
 # log-likelihood and gain terms
 
 
-def _gain_terms_segments(sp, X, sets: CandidateSets, y_idx, xw):
-    """``xw``: the input*weight matrix X * (w / beta)."""
-    p, y_flat = _segment_pmfs(sets, y_idx, xw)
-    expected = sp.feature_sums(p, sets.samples, sets.indices, len(y_idx)) * X
-    observed = sp.feature_rows(y_idx) * X
-    return p[y_flat], observed - expected
+def _gain_terms(sp, X, sets: CandidateSets, y_idx, w, beta):
+    """Per-sample restricted probabilities of the observed outputs and the
+    observed-minus-expected feature rows: one BLAS product over the full
+    space, a gather over listed sets."""
+    if sets.full_space:
+        probs, _ = pmf_matrix(sp, X, w, beta)
+        q = probs[y_idx, np.arange(len(y_idx))]
+        expected = sp.feature_sums_full(probs)
+    else:
+        p, y_flat = _segment_pmfs(sets, y_idx, X * (as_weights(w) / beta))
+        q = p[y_flat]
+        expected = sp.feature_sums(p, sets.samples, sets.indices, len(y_idx))
+    return q, sp.feature_rows(y_idx) * X - expected * X
 
 
-def _gain_terms_full(sp, X, y_idx, w, beta):
-    probs, _ = pmf_matrix(sp, X, w, beta)
-    q = probs[y_idx, np.arange(len(y_idx))]
-    expected = sp.feature_sums_full(probs) * X
-    observed = sp.feature_rows(y_idx) * X
-    return q, observed - expected
+def _dataset_gain_terms(w, S: Dataset, Tbar, beta):
+    if not beta > 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    return _gain_terms(space(S.family), S.bits, as_candidate_sets(Tbar, S.family, S.m),
+                       S.indices, w, beta)
 
 
 def log_gain(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]], beta: float) -> float:
     """log of the mean restricted probability of recovering the observed outputs."""
-    q, _ = _gain_terms(w, S, Tbar, beta)
+    q, _ = _dataset_gain_terms(w, S, Tbar, beta)
     return float(np.log(q.mean()))
 
 
@@ -147,7 +164,7 @@ def log_gain_gradient(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
                       beta: float) -> np.ndarray:
     """Gradient of ``log_gain`` in w for fixed candidate sets and fixed beta:
     the q-weighted moment-matching direction scaled by 1/beta."""
-    q, diff = _gain_terms(w, S, Tbar, beta)
+    q, diff = _dataset_gain_terms(w, S, Tbar, beta)
     return (q @ diff) / (beta * q.sum())
 
 
@@ -157,19 +174,8 @@ def log_likelihood_gradient(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOut
     outputs (the CRF methods' training objective, which lower-bounds
     ``log_gain``): the standard moment-matching direction (mean
     observed-minus-expected feature difference) scaled by 1/beta."""
-    _, diff = _gain_terms(w, S, Tbar, beta)
+    _, diff = _dataset_gain_terms(w, S, Tbar, beta)
     return diff.mean(axis=0) / beta
-
-
-def _gain_terms(w, S, Tbar, beta):
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    sp = space(S.family)
-    X, y_idx = S.bits, S.indices
-    sets = as_candidate_sets(Tbar, S.family, S.m)
-    if sets.full_space:
-        return _gain_terms_full(sp, X, y_idx, w, beta)
-    return _gain_terms_segments(sp, X, sets, y_idx, X * (as_weights(w) / beta))
 
 
 # ---------------------------------------------------------------------------
@@ -180,27 +186,29 @@ def _distance_columns(sp, y_idx):
     return sp.pair_distances(np.arange(sp.size)[:, None], y_idx) / sp.family.hamming_normalizer
 
 
-def _hinge_terms_full(sp, X, y_idx, w, dist_cols):
-    scores = sp.score_matrix(X, as_weights(w))
-    best = np.argmax(scores + dist_cols, axis=0)
-    cols = np.arange(len(y_idx))
-    margins = (scores + dist_cols)[best, cols] - scores[y_idx, cols]
-    grad = ((sp.feature_rows(best) - sp.feature_rows(y_idx)) * X).mean(axis=0)
-    return margins, grad
-
-
-def _hinge_terms_segments(sp, X, sets: CandidateSets, y_idx, xw):
-    y_flat = sets.observed_positions(y_idx)
-    smp, cand = sets.samples, sets.indices
-    s = sp.gather_scores(xw, smp, cand)
-    dist = sp.pair_distances(cand, y_idx[smp]) / sp.family.hamming_normalizer
-    aug = s + dist
-    starts = sets.offsets[:-1]
-    seg_max = np.maximum.reduceat(aug, starts)
-    # ties break toward the earliest in canonical order: first position in segment
-    eligible = np.where(aug == seg_max[smp], np.arange(aug.size), aug.size)
-    best = cand[np.minimum.reduceat(eligible, starts)]
-    margins = seg_max - s[y_flat]
+def _hinge_terms(sp, X, sets: CandidateSets, y_idx, w, dist_cols=None):
+    """Per-sample margins and the mean subgradient.  Over the full space the
+    scores are one BLAS product and ``dist_cols`` (``_distance_columns``,
+    formed here when not given) the distortions; over listed sets both are
+    gathered per entry."""
+    if sets.full_space:
+        if dist_cols is None:
+            dist_cols = _distance_columns(sp, y_idx)
+        scores = sp.score_matrix(X, as_weights(w))
+        best = np.argmax(scores + dist_cols, axis=0)
+        cols = np.arange(len(y_idx))
+        margins = (scores + dist_cols)[best, cols] - scores[y_idx, cols]
+    else:
+        y_flat = sets.observed_positions(y_idx)
+        smp, cand = sets.samples, sets.indices
+        s = sp.gather_scores(X * as_weights(w), smp, cand)
+        aug = s + sp.pair_distances(cand, y_idx[smp]) / sp.family.hamming_normalizer
+        starts = sets.offsets[:-1]
+        seg_max = np.maximum.reduceat(aug, starts)
+        # ties break toward the earliest in canonical order: first position in segment
+        eligible = np.where(aug == seg_max[smp], np.arange(aug.size), aug.size)
+        best = cand[np.minimum.reduceat(eligible, starts)]
+        margins = seg_max - s[y_flat]
     grad = ((sp.feature_rows(best) - sp.feature_rows(y_idx)) * X).mean(axis=0)
     return margins, grad
 
@@ -208,13 +216,8 @@ def _hinge_terms_segments(sp, X, sets: CandidateSets, y_idx, xw):
 def hinge_loss(w, S: Dataset, candidates: Sequence[Sequence[StructuredOutput]]) -> LossReport:
     """Margin-rescaled structured hinge over the given per-sample candidates:
     mean of max_y(score(y) + hamming(y, y_i)) - score(y_i)."""
-    sp = space(S.family)
-    X, y_idx = S.bits, S.indices
     sets = as_candidate_sets(candidates, S.family, S.m)
-    if sets.full_space:
-        margins, _ = _hinge_terms_full(sp, X, y_idx, w, _distance_columns(sp, y_idx))
-    else:
-        margins, _ = _hinge_terms_segments(sp, X, sets, y_idx, X * as_weights(w))
+    margins, _ = _hinge_terms(space(S.family), S.bits, sets, S.indices, w)
     return LossReport(float(margins.mean()), margins, LossKind.HINGE)
 
 
@@ -224,14 +227,14 @@ def hinge_loss(w, S: Dataset, candidates: Sequence[Sequence[StructuredOutput]]) 
 
 def train_crf(S: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     """Ascend the (restricted) log-likelihood with an L1 proximal step."""
-    if cfg.method not in (Method.CRF_ALL, Method.CRF_RAND):
+    if not cfg.method.is_crf:
         raise ValueError(f"train_crf got method {cfg.method}")
     return _train(S, cfg)
 
 
 def train_svm(S: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
     """Subgradient descent on the structured hinge with an L1 proximal step."""
-    if cfg.method not in (Method.SVM_ALL, Method.SVM_RAND):
+    if cfg.method.is_crf:
         raise ValueError(f"train_svm got method {cfg.method}")
     return _train(S, cfg)
 
@@ -239,50 +242,40 @@ def train_svm(S: Dataset, cfg: TrainConfig) -> tuple[np.ndarray, TrainTrace]:
 def _train(S: Dataset, cfg: TrainConfig):
     sp = space(S.family)
     X, y_idx, m = S.bits, S.indices, S.m
-    randomized = cfg.method in RANDOMIZED_METHODS
-    is_crf = cfg.method in (Method.CRF_ALL, Method.CRF_RAND)
+    method = cfg.method
     beta = None
-    if is_crf:
+    if method.is_crf:
         beta = cfg.beta if cfg.beta is not None else beta_schedule(m, sp.size)
     # for CRF methods one update is the moment-matching direction times 1/sqrt(t)
-    step0 = beta if is_crf else 1.0
-    dist_cols = _distance_columns(sp, y_idx) if cfg.method is Method.SVM_ALL else None
+    step0 = beta if method.is_crf else 1.0
+    # the exact methods train over the full space; the randomized ones replace
+    # it with fresh draws in every iteration
+    sets = as_candidate_sets([full_candidate_set(S.family)] * m, S.family, m)
+    dist_cols = None if method.is_crf or method.randomized else _distance_columns(sp, y_idx)
     n_target = cfg.resolved_n_target(m)
 
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(sp.family.feature_dim)
-    sets = None
     rows = []
     for t in range(1, cfg.iterations + 1):
         tic = time.perf_counter()
         step = step0 / math.sqrt(t)
-        if randomized:
-            xw = X * w
-            alpha = alpha_schedule(w, m)
-            sets = _augment_keys(sp, _batch_end_keys(sp, xw, y_idx, alpha, cfg.neighborhood_k,
-                                                     n_target, rng), y_idx)
-        if is_crf:
-            if cfg.method is Method.CRF_ALL:
-                q, diff = _gain_terms_full(sp, X, y_idx, w, beta)
-            else:
-                q, diff = _gain_terms_segments(sp, X, sets, y_idx, X * (w / beta))
+        if method.randomized:
+            sets = _augment_keys(sp, _batch_end_keys(sp, X * w, y_idx, alpha_schedule(w, m),
+                                                     cfg.neighborhood_k, n_target, rng), y_idx)
+        if method.is_crf:
+            q, diff = _gain_terms(sp, X, sets, y_idx, w, beta)
             objective = float(1.0 - q.mean())
             g = diff.mean(axis=0) / beta
             w = w + step * g
         else:
-            if cfg.method is Method.SVM_ALL:
-                margins, g = _hinge_terms_full(sp, X, y_idx, w, dist_cols)
-            else:
-                margins, g = _hinge_terms_segments(sp, X, sets, y_idx, xw)
+            margins, g = _hinge_terms(sp, X, sets, y_idx, w, dist_cols)
             objective = float(margins.mean())
             w = w - step * g
         w = soft_threshold(w, step * cfg.l1_lambda)
         if not np.isfinite(objective):
-            raise RuntimeError(f"{cfg.method.value} diverged at iteration {t}: objective={objective}")
-        if randomized:
-            size_mean, size_max = sets.indices.size / m, int(sets.counts.max())
-        else:
-            size_mean, size_max = float(sp.size), sp.size
+            raise RuntimeError(f"{method.value} diverged at iteration {t}: objective={objective}")
         rows.append(IterationStats(t, objective, float(np.abs(g).max()),
-                                   time.perf_counter() - tic, size_mean, size_max))
-    return w, TrainTrace(tuple(rows), sets)
+                                   time.perf_counter() - tic,
+                                   int(sets.offsets[-1]) / m, int(sets.counts.max())))
+    return w, TrainTrace(tuple(rows), sets if method.randomized else None)

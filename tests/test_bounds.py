@@ -148,3 +148,10 @@ def test_bound_table_covers_the_grid():
         assert row[-1] == pytest.approx(row[-2] + row[-3])  # total = approx + stat
     with pytest.raises(ValueError):
         bound_table({"d": [105]})
+    # l1 is the weight vector's L1 norm: a negative or non-finite value is
+    # refused, not folded into |l1| or carried into nan totals
+    grid = {"d": [105], "s": [11], "m": [100], "n": [10], "r": [1365], "delta": [0.05]}
+    for l1 in ([-3.0, 3.0], [math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="^l1 must be finite and >= 0, got "):
+            bound_table({**grid, "l1": l1})
+    assert bound_table({**grid, "l1": [0.0, 3.0]})[1][6] == 3.0

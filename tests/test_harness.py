@@ -366,6 +366,10 @@ def test_protocol_radius_is_two_unless_given():
     ({"family": "set:3,6", "step0": 0.5}, "unknown config keys: step0"),
     ({"family": "set:3,6", "neighborhood_k": None}, "config key 'neighborhood_k' must be an "
      "integer, got None"),
+    ({"family": "set:3,6", "l1_lambda": float("nan")}, "l1_lambda must be finite and >= 0, "
+     "got nan"),
+    ({"family": "set:3,6", "l1_lambda": -0.5}, "l1_lambda must be finite and >= 0, got -0.5"),
+    ({"family": "set:3,6", "beta": float("inf")}, "beta must be finite, got inf"),
 ])
 def test_cli_train_rejects_bad_config_files(tmp_path, capsys, config, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -490,6 +494,11 @@ def test_cli_bounds_table(tmp_path, capsys):
     assert cli.main(["bounds", "--grid", "d=105;s=11;m=100;n=10;r=1365;delta=0.05,x"]) == 2
     assert capsys.readouterr() == ("", "randcrf: grid key 'delta' needs float values, "
                                        "got '0.05,x'\n")
+    # an L1 norm is finite and not negative
+    for l1, shown in (("-3,3", "-3.0"), ("nan", "nan")):
+        assert cli.main(["bounds", "--grid",
+                         f"d=105;s=11;m=100;n=10;r=1365;delta=0.05;l1={l1}"]) == 2
+        assert capsys.readouterr() == ("", f"randcrf: l1 must be finite and >= 0, got {shown}\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -539,9 +548,11 @@ def test_cli_reproduce_summary_needs_two_repetitions(tmp_path, capsys, monkeypat
     (["--methods", "crf_all,crf_all"], "method crf_all is listed twice"),
     (["--families", "set:3,6,set:3,6"], "family set:3,6 is listed twice"),
     (["--families", "set,tree,set:4,15"], "family set:4,15 is listed twice"),
+    (["--l1", "nan"], "l1_lambda must be finite and >= 0, got nan"),
 ])
 def test_cli_reproduce_refuses_repeats(tmp_path, capsys, monkeypatch, option, message):
-    # a repeat would train twice and double the records behind each interval
+    # a repeat would train twice and double the records behind each interval;
+    # a NaN penalty trained every method to failure and wrote no record
     def train(*args, **kwargs):
         raise AssertionError("trained before the arguments were checked")
 

@@ -288,6 +288,30 @@ def test_randomized_path_reads_no_incidence_matrix(family, monkeypatch):
         np.testing.assert_array_equal(got, expected)
 
 
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_training_steps_along_the_public_gradient(method):
+    # one iteration from w = 0 without a penalty: a CRF method's weights are
+    # beta times log_likelihood_gradient, an SVM method's objective is
+    # hinge_loss, each over the sets the method trained on
+    rng = np.random.default_rng(12)
+    S = make_dataset(SET36, rng, m=8)
+    beta = 0.7
+    cfg = TrainConfig(method=method, l1_lambda=0.0, iterations=1, beta=beta, n_target=3, seed=4)
+    train = train_crf if method.is_crf else train_svm
+    w, trace = train(S, cfg)
+    if method.randomized:
+        sets = trace.final_candidate_sets
+        assert not sets.full_space
+    else:
+        assert trace.final_candidate_sets is None
+        sets = [full_candidate_set(S.family)] * S.m
+    w0 = np.zeros(SET36.feature_dim)
+    if method.is_crf:
+        np.testing.assert_array_equal(w, beta * log_likelihood_gradient(w0, S, sets, beta))
+    else:
+        assert trace.rows[0].objective == hinge_loss(w0, S, sets).value
+
+
 def test_method_entrypoints_are_checked():
     rng = np.random.default_rng(11)
     S = make_dataset(SET36, rng, m=2)
@@ -301,6 +325,16 @@ def test_method_entrypoints_are_checked():
     for name in ("neighborhood_k", "n_target"):
         with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
             TrainConfig(method=Method.CRF_RAND, **{name: 0})
+    # a non-finite penalty or scale is refused before any training: a NaN
+    # penalty made crf_all diverge and svm_rand's greedy pass index out of
+    # range, and so did an infinite beta in crf_rand's pass
+    for l1 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^l1_lambda must be finite and >= 0, got "):
+            TrainConfig(method=Method.CRF_ALL, l1_lambda=l1)
+    with pytest.raises(ValueError, match=r"^beta must be finite, got inf$"):
+        TrainConfig(method=Method.CRF_RAND, beta=math.inf)
+    with pytest.raises(ValueError, match="^beta must be positive$"):
+        TrainConfig(method=Method.CRF_RAND, beta=math.nan)
 
 
 # Exact trainers in a fresh process that never builds a neighbor table: with
