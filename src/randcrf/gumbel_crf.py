@@ -8,6 +8,7 @@ perturbed decoder's output distribution has the closed form computed by
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -19,6 +20,24 @@ from .spaces import StructureFamily, StructuredOutput, input_bits, space
 def as_weights(w) -> np.ndarray:
     """Weights as a float64 array."""
     return np.asarray(w, dtype=np.float64)
+
+
+def scaled_weights(w, beta: float) -> np.ndarray:
+    """``w / beta`` as float64, after the one check that every function
+    taking a Gumbel scale makes: beta finite and positive, and 1 / beta
+    finite, by which the gradients scale (a subnormal beta overflows it).
+    ``TrainConfig`` checks its scale alone, at w = 0.  Weights must be
+    finite, and so must ``w / beta``."""
+    if not (beta > 0 and math.isfinite(beta) and math.isfinite(1.0 / float(beta))):
+        raise ValueError(f"beta must be finite and positive, with 1 / beta finite; got {beta}")
+    w = as_weights(w)
+    with np.errstate(over="ignore"):
+        w_eff = w / beta
+    if not np.isfinite(w_eff).all():
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        raise ValueError(f"w / beta overflows at beta = {beta}")
+    return w_eff
 
 
 def full_candidate_set(family: StructureFamily) -> Sequence[StructuredOutput]:
@@ -42,19 +61,26 @@ class CandidateSets(Sequence):
     positions, so each set is one segment for ``reduceat``.  Items are
     per-sample tuples of outputs.  The full space for every sample
     (``full_space``) keeps offsets only and tiles its indices on request.
+
+    Sets built from keys keep the sample of each flat entry, which the same
+    division gives (``from_keys``); sets merged around the observed outputs
+    keep their positions too (``proposal._augment_keys``).
     """
 
-    def __init__(self, family: StructureFamily, offsets: np.ndarray, indices: np.ndarray | None):
+    def __init__(self, family: StructureFamily, offsets: np.ndarray, indices: np.ndarray | None,
+                 samples: np.ndarray | None = None):
         self.family = family
         self.offsets = offsets
         self._indices = indices
+        self._samples = samples
+        self._observed: tuple[np.ndarray, np.ndarray] | None = None
         self.full_space = indices is None
 
     @classmethod
     def from_keys(cls, family: StructureFamily, keys: np.ndarray, m: int) -> CandidateSets:
         """From sorted, distinct sample-major keys ``sample * size + index``."""
         smp, indices = np.divmod(keys, space(family).size)
-        return cls(family, smp.searchsorted(np.arange(m + 1)), indices)
+        return cls(family, smp.searchsorted(np.arange(m + 1)), indices, smp)
 
     @property
     def indices(self) -> np.ndarray:
@@ -68,11 +94,18 @@ class CandidateSets(Sequence):
 
     @property
     def samples(self) -> np.ndarray:
-        """The sample of each flat entry."""
-        return np.arange(len(self)).repeat(self.counts)
+        """The sample of each flat entry: kept from the keys, else derived
+        from the offsets."""
+        if self._samples is None:
+            return np.arange(len(self)).repeat(self.counts)
+        return self._samples
 
     def observed_positions(self, y_idx: np.ndarray) -> np.ndarray:
-        """Flat position of each sample's observed output ``y_idx[i]``."""
+        """Flat position of each sample's observed output ``y_idx[i]``: the
+        positions found when the sets were merged around this very array,
+        else found by a scan."""
+        if self._observed is not None and self._observed[0] is y_idx:
+            return self._observed[1]
         hit = (self.indices == y_idx[self.samples]).nonzero()[0]
         if hit.size != len(self):
             raise ValueError("a candidate set does not contain its observed output")
@@ -196,11 +229,10 @@ def crf_pmf(family: StructureFamily, x, w, support: Sequence[StructuredOutput],
     Weights are rescaled by beta before scoring, so the distribution at
     (w, beta) coincides bitwise with the one at (w/beta, 1).
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    w_eff = scaled_weights(w, beta)
     if len(support) == 0:
         raise ValueError("support must be nonempty")
-    scores = _support_scores(family, x, as_weights(w) / beta, support)
+    scores = _support_scores(family, x, w_eff, support)
     shift = scores.max()
     e = np.exp(scores - shift)
     z = e.sum()
@@ -210,9 +242,7 @@ def crf_pmf(family: StructureFamily, x, w, support: Sequence[StructuredOutput],
 def pmf_matrix(sp, bit_matrix: np.ndarray, w, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Column-stochastic (size x m) matrix of full-space pmfs for a batch of
     inputs, plus the per-column log-partitions."""
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    scores = sp.score_matrix(bit_matrix, as_weights(w) / beta)
+    scores = sp.score_matrix(bit_matrix, scaled_weights(w, beta))
     shift = scores.max(axis=0)
     e = np.exp(scores - shift)
     z = e.sum(axis=0)

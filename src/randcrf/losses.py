@@ -11,7 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gumbel_crf import _segment_pmfs, as_candidate_sets, as_weights, pmf_matrix
+from .gumbel_crf import (_segment_pmfs, as_candidate_sets, as_weights, pmf_matrix,
+                         scaled_weights)
 from .spaces import StructureFamily, StructuredOutput, space
 
 
@@ -42,9 +43,9 @@ class Dataset:
     """Input bit matrix (m x d) paired with observed structures.
 
     Resolved once on construction: ``bits`` holds the inputs as float64 and
-    ``indices`` each observed output's position in the family's canonical
-    order (a ValueError names the first output of another family or not a
-    valid structure of this one)."""
+    ``indices``, read-only, each observed output's position in the family's
+    canonical order (a ValueError names the first output of another family
+    or not a valid structure of this one)."""
 
     family: StructureFamily
     inputs: np.ndarray
@@ -60,7 +61,9 @@ class Dataset:
             raise ValueError(f"inputs have {d} columns, family expects {self.family.feature_dim}")
         if len(self.outputs) != m:
             raise ValueError("inputs and outputs have different lengths")
-        object.__setattr__(self, "indices", space(self.family).indices(self.outputs))
+        indices = space(self.family).indices(self.outputs)
+        indices.setflags(write=False)
+        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "bits", np.asarray(self.inputs, dtype=np.float64))
 
     @property
@@ -84,9 +87,7 @@ def randomized_loss(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
     """Mean probability of missing the observed output when the decoder is
     restricted to the per-sample candidate sets; each set must contain it."""
     sets = as_candidate_sets(Tbar, S.family, S.m)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    p, y_flat = _segment_pmfs(sets, S.indices, S.bits * (as_weights(w) / beta))
+    p, y_flat = _segment_pmfs(sets, S.indices, S.bits * scaled_weights(w, beta))
     return _report(1.0 - p[y_flat], LossKind.RANDOMIZED_AUGMENTED)
 
 

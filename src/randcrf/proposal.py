@@ -14,6 +14,7 @@ call, and each pass's end is read off its segment's maximum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,7 +46,7 @@ def alpha_schedule(w, m: int) -> float:
     """Exploration probability ||w||_1 / sqrt(m), clamped to remain in [0, 1]."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return min(1.0, float(np.abs(as_weights(w)).sum()) / np.sqrt(m))
+    return min(1.0, float(np.abs(as_weights(w)).sum()) / math.sqrt(m))
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +89,25 @@ def _greedy_pairs(sp: EnumeratedSpace, xw, pair_smp, pair_start, k: int) -> np.n
 
 
 def _unique_keys(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys (np.unique costs ~10x more at these sizes)."""
-    keys = np.sort(keys)
+    """Sorted distinct keys, after sorting ``keys`` in place (np.unique
+    costs ~10x more at these sizes)."""
+    keys.sort()
     keep = np.empty(keys.size, dtype=bool)
     keep[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     return keys[keep]
 
 
-def _augment_keys(sp: EnumeratedSpace, keys: np.ndarray, y_idx: np.ndarray) -> CandidateSets:
+def _augment_keys(sp: EnumeratedSpace, keys: np.ndarray, y_idx: np.ndarray,
+                  y_keys: np.ndarray) -> CandidateSets:
     """The sets of sample-major keys ``keys`` (any order, repeats allowed),
-    each joined with its sample's observed output ``y_idx[i]``."""
-    m = y_idx.size
-    merged = _unique_keys(np.concatenate([keys, np.arange(m) * sp.size + y_idx]))
-    return CandidateSets.from_keys(sp.family, merged, m)
+    each joined with its sample's observed output ``y_idx[i]``, whose key
+    ``y_keys[i]`` is ``i * size + y_idx[i]``."""
+    merged = _unique_keys(np.concatenate([keys, y_keys]))
+    sets = CandidateSets.from_keys(sp.family, merged, y_idx.size)
+    # the merge holds every observed key, so one searchsorted finds them all
+    sets._observed = y_idx, merged.searchsorted(y_keys)
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +168,8 @@ def augment(T: Sequence[Sequence[StructuredOutput]], S: Dataset) -> CandidateSet
     """Force each candidate set to contain its sample's observed structure."""
     sp = space(S.family)
     sets = as_candidate_sets(T, S.family, S.m)
-    return _augment_keys(sp, sets.samples * sp.size + sets.indices, S.indices)
+    return _augment_keys(sp, sets.samples * sp.size + sets.indices, S.indices,
+                         np.arange(S.m) * sp.size + S.indices)
 
 
 def proposal_quality_frequency(family: StructureFamily, S: Dataset, w,

@@ -434,10 +434,10 @@ class EnumeratedSpace:
     ``outputs`` makes each ``StructuredOutput`` on first access, ``masks``
     packs each row's components into bits (``indices`` looks structures up
     in them), and ``feature_indices`` lists each row's features.  Only the
-    space's own methods read that layout: ``gather_scores`` and
-    ``score_matrix`` score outputs, ``feature_rows`` builds their 0/1 rows
-    (``incidence`` holds all of them), and ``feature_sums`` and
-    ``feature_sums_full`` add weighted rows up.
+    space's own methods read that layout: ``gather_scores``,
+    ``score_matrix`` and ``score_rows`` score outputs, ``feature_rows``
+    builds their 0/1 rows (``incidence`` holds all of them), and
+    ``feature_sums`` and ``feature_sums_full`` add weighted rows up.
     """
 
     def __init__(self, family: StructureFamily, components: np.ndarray):
@@ -534,7 +534,12 @@ class EnumeratedSpace:
 
     def score_matrix(self, bit_matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(size x m) scores for a batch of inputs given as an (m x d) bit matrix."""
-        return self.incidence @ (bit_matrix * w).T
+        return self.score_rows(bit_matrix * w)
+
+    def score_rows(self, xw: np.ndarray) -> np.ndarray:
+        """(size x n) scores of every output under each row of the (n x d)
+        input*weight matrix ``xw``: one BLAS product."""
+        return self.incidence @ xw.T
 
     def gather_scores(self, xw: np.ndarray, rows, idx: np.ndarray) -> np.ndarray:
         """Score of output ``idx[e]`` under row ``rows[e]`` of the (n x d)

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .gumbel_crf import (CandidateSets, _segment_pmfs, as_candidate_sets, as_weights,
-                         full_candidate_set, pmf_matrix)
+                         full_candidate_set, pmf_matrix, scaled_weights)
 from .losses import Dataset, LossKind, LossReport
 from .proposal import _augment_keys, _batch_end_keys, alpha_schedule
 from .spaces import StructuredOutput, space
@@ -75,10 +75,8 @@ class TrainConfig:
             raise ValueError("iterations must be >= 1")
         if not (math.isfinite(self.l1_lambda) and self.l1_lambda >= 0):
             raise ValueError(f"l1_lambda must be finite and >= 0, got {self.l1_lambda}")
-        if self.beta is not None and not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if self.beta is not None and not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
+        if self.beta is not None:
+            scaled_weights(0.0, self.beta)
 
     def resolved_n_target(self, m: int) -> int:
         return self.n_target if self.n_target is not None else math.ceil(math.sqrt(m))
@@ -132,26 +130,27 @@ def beta_schedule(m, r: int) -> float:
 # log-likelihood and gain terms
 
 
-def _gain_terms(sp, X, sets: CandidateSets, y_idx, w, beta):
+def _gain_terms(sp, X, sets: CandidateSets, y_idx, w, beta, observed):
     """Per-sample restricted probabilities of the observed outputs and the
-    observed-minus-expected feature rows: one BLAS product over the full
-    space, a gather over listed sets."""
+    observed-minus-expected feature rows, ``observed`` being the observed
+    outputs' feature rows times X: one BLAS product over the full space, a
+    gather over listed sets."""
     if sets.full_space:
         probs, _ = pmf_matrix(sp, X, w, beta)
         q = probs[y_idx, np.arange(len(y_idx))]
         expected = sp.feature_sums_full(probs)
     else:
-        p, y_flat = _segment_pmfs(sets, y_idx, X * (as_weights(w) / beta))
+        p, y_flat = _segment_pmfs(sets, y_idx, X * (w / beta))
         q = p[y_flat]
         expected = sp.feature_sums(p, sets.samples, sets.indices, len(y_idx))
-    return q, sp.feature_rows(y_idx) * X - expected * X
+    return q, observed - expected * X
 
 
 def _dataset_gain_terms(w, S: Dataset, Tbar, beta):
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return _gain_terms(space(S.family), S.bits, as_candidate_sets(Tbar, S.family, S.m),
-                       S.indices, w, beta)
+    scaled_weights(w, beta)  # refuses a bad scale before any work
+    sp = space(S.family)
+    return _gain_terms(sp, S.bits, as_candidate_sets(Tbar, S.family, S.m), S.indices,
+                       as_weights(w), beta, sp.feature_rows(S.indices) * S.bits)
 
 
 def log_gain(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]], beta: float) -> float:
@@ -186,22 +185,23 @@ def _distance_columns(sp, y_idx):
     return sp.pair_distances(np.arange(sp.size)[:, None], y_idx) / sp.family.hamming_normalizer
 
 
-def _hinge_terms(sp, X, sets: CandidateSets, y_idx, w, dist_cols=None):
-    """Per-sample margins and the mean subgradient.  Over the full space the
-    scores are one BLAS product and ``dist_cols`` (``_distance_columns``,
-    formed here when not given) the distortions; over listed sets both are
-    gathered per entry."""
+def _hinge_terms(sp, X, sets: CandidateSets, y_idx, xw, observed, dist_cols=None):
+    """Per-sample margins and the mean subgradient under the input*weight
+    rows ``xw``, ``observed`` being the observed outputs' feature rows.  Over
+    the full space the scores are one BLAS product and ``dist_cols``
+    (``_distance_columns``, formed here when not given) the distortions; over
+    listed sets both are gathered per entry."""
     if sets.full_space:
         if dist_cols is None:
             dist_cols = _distance_columns(sp, y_idx)
-        scores = sp.score_matrix(X, as_weights(w))
+        scores = sp.score_rows(xw)
         best = np.argmax(scores + dist_cols, axis=0)
         cols = np.arange(len(y_idx))
         margins = (scores + dist_cols)[best, cols] - scores[y_idx, cols]
     else:
         y_flat = sets.observed_positions(y_idx)
         smp, cand = sets.samples, sets.indices
-        s = sp.gather_scores(X * as_weights(w), smp, cand)
+        s = sp.gather_scores(xw, smp, cand)
         aug = s + sp.pair_distances(cand, y_idx[smp]) / sp.family.hamming_normalizer
         starts = sets.offsets[:-1]
         seg_max = np.maximum.reduceat(aug, starts)
@@ -209,15 +209,17 @@ def _hinge_terms(sp, X, sets: CandidateSets, y_idx, w, dist_cols=None):
         eligible = np.where(aug == seg_max[smp], np.arange(aug.size), aug.size)
         best = cand[np.minimum.reduceat(eligible, starts)]
         margins = seg_max - s[y_flat]
-    grad = ((sp.feature_rows(best) - sp.feature_rows(y_idx)) * X).mean(axis=0)
+    grad = ((sp.feature_rows(best) - observed) * X).mean(axis=0)
     return margins, grad
 
 
 def hinge_loss(w, S: Dataset, candidates: Sequence[Sequence[StructuredOutput]]) -> LossReport:
     """Margin-rescaled structured hinge over the given per-sample candidates:
     mean of max_y(score(y) + hamming(y, y_i)) - score(y_i)."""
+    sp = space(S.family)
     sets = as_candidate_sets(candidates, S.family, S.m)
-    margins, _ = _hinge_terms(space(S.family), S.bits, sets, S.indices, w)
+    margins, _ = _hinge_terms(sp, S.bits, sets, S.indices, S.bits * as_weights(w),
+                              sp.feature_rows(S.indices))
     return LossReport(float(margins.mean()), margins, LossKind.HINGE)
 
 
@@ -253,6 +255,12 @@ def _train(S: Dataset, cfg: TrainConfig):
     sets = as_candidate_sets([full_candidate_set(S.family)] * m, S.family, m)
     dist_cols = None if method.is_crf or method.randomized else _distance_columns(sp, y_idx)
     n_target = cfg.resolved_n_target(m)
+    # built once per training: the observed outputs' keys, which each draw's
+    # sets are merged with, and their feature rows (times X for the CRF terms)
+    y_keys = np.arange(m) * sp.size + y_idx
+    observed = sp.feature_rows(y_idx)
+    if method.is_crf:
+        observed = observed * X
 
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(sp.family.feature_dim)
@@ -260,20 +268,25 @@ def _train(S: Dataset, cfg: TrainConfig):
     for t in range(1, cfg.iterations + 1):
         tic = time.perf_counter()
         step = step0 / math.sqrt(t)
+        # the greedy pass and the hinge terms share X * w; crf_all scores in
+        # pmf_matrix alone
+        xw = None if method is Method.CRF_ALL else X * w
         if method.randomized:
-            sets = _augment_keys(sp, _batch_end_keys(sp, X * w, y_idx, alpha_schedule(w, m),
-                                                     cfg.neighborhood_k, n_target, rng), y_idx)
+            sets = _augment_keys(sp, _batch_end_keys(sp, xw, y_idx, alpha_schedule(w, m),
+                                                     cfg.neighborhood_k, n_target, rng),
+                                 y_idx, y_keys)
+        # sum / m below: the bits of mean() without its Python-level wrapper
         if method.is_crf:
-            q, diff = _gain_terms(sp, X, sets, y_idx, w, beta)
-            objective = float(1.0 - q.mean())
-            g = diff.mean(axis=0) / beta
+            q, diff = _gain_terms(sp, X, sets, y_idx, w, beta, observed)
+            objective = float(1.0 - q.sum() / m)
+            g = diff.sum(axis=0) / m / beta
             w = w + step * g
         else:
-            margins, g = _hinge_terms(sp, X, sets, y_idx, w, dist_cols)
-            objective = float(margins.mean())
+            margins, g = _hinge_terms(sp, X, sets, y_idx, xw, observed, dist_cols)
+            objective = float(margins.sum() / m)
             w = w - step * g
         w = soft_threshold(w, step * cfg.l1_lambda)
-        if not np.isfinite(objective):
+        if not math.isfinite(objective):
             raise RuntimeError(f"{method.value} diverged at iteration {t}: objective={objective}")
         rows.append(IterationStats(t, objective, float(np.abs(g).max()),
                                    time.perf_counter() - tic,

@@ -6,7 +6,7 @@ checks (whole spaces up to tree:7 by one array scan over every combination of
 parent sets, read back into sorted tuples), scores by explicit feature dot products, neighborhoods by
 brute-force component distances, and the proposal pass by a literal
 transcription of its definition.  The exceptions are the
-restricted-loss and augmentation references at the end: they are the
+restricted-loss, hinge and augmentation references at the end: they are the
 per-sample loops that the library's segment reductions replaced, and they
 index and score through the enumerated space; so does the Monte-Carlo
 estimate of the exact loss, which decodes fresh Gumbel draws instead of
@@ -347,6 +347,27 @@ def loss_gap_reference(w, S, sets, beta):
         q, idx = _restricted_observed_prob(sp, X[i], w_eff, cs, y)
         gap -= q * (1.0 - full_probs[idx, i].sum())
     return gap / S.m
+
+
+def hinge_terms_reference(w, S, sets):
+    """Per-sample structured-hinge margins and the mean subgradient, one
+    sample at a time: each set's loss-augmented argmax in canonical order
+    (ties to the earliest), scored by adding features in ascending order,
+    and its feature row minus the observed one, times the input."""
+    family = S.family
+    sp = space(family)
+    X = np.asarray(S.inputs, dtype=np.float64)
+    xw = X * np.asarray(w, dtype=np.float64)
+    margins, rows = [], []
+    for i, (cs, y) in enumerate(zip(sets, S.outputs)):
+        idx = sorted(sp.index(z) for z in cs) + [sp.index(y)]
+        scores = gather_scores_reference(sp.incidence, xw, [i] * len(idx), idx)
+        aug = scores[:-1] + [hamming(sp.outputs[j], y) for j in idx[:-1]]
+        best = int(np.argmax(aug))
+        margins.append(aug[best] - scores[-1])
+        rows.append((incidence_row_reference(family, sp.outputs[idx[best]].components)
+                     - incidence_row_reference(family, y.components)) * X[i])
+    return np.array(margins), np.array(rows).mean(axis=0)
 
 
 def augment_reference(sets, S):

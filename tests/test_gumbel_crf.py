@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randcrf import (CandidateSets, SpanningTreeFamily, SubsetFamily, as_candidate_sets, crf_pmf,
-                     full_candidate_set, gumbel_from_uniform, map_decode, perturbed_decode, space)
+from randcrf import (CandidateSets, Dataset, SpanningTreeFamily, SubsetFamily, as_candidate_sets,
+                     augment, crf_pmf, full_candidate_set, gumbel_from_uniform, map_decode,
+                     perturbed_decode, space)
 from randcrf.gumbel_crf import pmf_matrix
 
 from oracles import exhaustive_map_decode, prob_of, random_instance
@@ -44,9 +45,9 @@ def test_empirical_mean_matches_euler_mascheroni():
 def test_beta_must_be_positive():
     x, w = scores_are_weights_setup(), np.zeros(SET23.feature_dim)
     for beta in (0.0, -1.0):
-        with pytest.raises(ValueError, match="beta must be positive"):
+        with pytest.raises(ValueError, match="^beta must be finite and positive"):
             crf_pmf(SET23, x, w, full_candidate_set(SET23), beta)
-        with pytest.raises(ValueError, match="beta must be positive"):
+        with pytest.raises(ValueError, match="^beta must be finite and positive"):
             pmf_matrix(space(SET23), x[None, :], w, beta)
 
 
@@ -254,6 +255,41 @@ def test_full_space_candidate_sets_keep_offsets_only():
         assert not listed.full_space
         np.testing.assert_array_equal(listed.indices, sets.indices)
         np.testing.assert_array_equal(listed.offsets, sets.offsets)
+
+
+def scanned_fields(sets, y_idx):
+    """The per-entry samples and the observed outputs' flat positions, found
+    from the offsets and indices alone."""
+    samples = np.arange(len(sets)).repeat(sets.counts)
+    return samples, (sets.indices == y_idx[samples]).nonzero()[0]
+
+
+def test_cached_candidate_set_fields_match_a_scan():
+    fam = SubsetFamily(3, 6)
+    outs = space(fam).outputs
+    ys = (outs[3], outs[0], outs[19], outs[7])
+    S = Dataset(fam, np.ones((4, fam.feature_dim)), ys)
+    # sample 0 draws a single other output, sample 1 only its observed one,
+    # sample 2 nothing, sample 3 several outputs around its observed one
+    drawn = [(outs[5],), (outs[0],), (), (outs[2], outs[7], outs[11])]
+    listed = as_candidate_sets(drawn, fam, 4)
+    assert listed._samples is not None
+    samples, _ = scanned_fields(listed, S.indices)
+    np.testing.assert_array_equal(listed.samples, samples)
+    merged = augment(drawn, S)
+    assert merged.counts.tolist() == [2, 1, 1, 3]
+    samples, observed = scanned_fields(merged, S.indices)
+    np.testing.assert_array_equal(merged.samples, samples)
+    assert merged.observed_positions(S.indices) is merged._observed[1]
+    np.testing.assert_array_equal(merged.observed_positions(S.indices), observed)
+    # another array of the same outputs is scanned, and agrees
+    np.testing.assert_array_equal(merged.observed_positions(S.indices.copy()), observed)
+    # the full space keeps no samples: they are derived on request
+    full = as_candidate_sets([full_candidate_set(fam)] * 4, fam, 4)
+    assert full._samples is None
+    samples, observed = scanned_fields(full, S.indices)
+    np.testing.assert_array_equal(full.samples, samples)
+    np.testing.assert_array_equal(full.observed_positions(S.indices), observed)
 
 
 def test_crf_pmf_requires_nonempty_support():

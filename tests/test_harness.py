@@ -295,6 +295,23 @@ def test_cli_eval_rejects_weights_of_the_wrong_length(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("beta", ["inf", "1e-320", "nan", "0", "-1"])
+def test_cli_eval_refuses_a_bad_scale(tmp_path, capsys, beta):
+    # --beta inf printed the uniform distribution's loss and --beta 1e-320
+    # NaN, and both exited 0
+    data, weights = tmp_path / "d.jsonl", tmp_path / "w.json"
+    assert cli.main(["gen-data", "--family", "set:3,6", "--seed", "1", "--m", "5",
+                     "--out", str(data)]) == 0
+    save_weights(weights, np.full(SET36.feature_dim, 0.5))
+    capsys.readouterr()
+    assert cli.main(["eval", "--weights", str(weights), "--data", str(data), "--family",
+                     "set:3,6", "--metrics", str(tmp_path / "m.csv"), f"--beta={beta}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"randcrf: beta must be finite and positive, with 1 / beta finite; " \
+                  f"got {float(beta)}\n"
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_cli_input_errors_print_one_line(tmp_path, capsys):
     data, weights = tmp_path / "d.jsonl", tmp_path / "w.json"
     save_weights(weights, np.zeros(SET36.feature_dim))
@@ -353,7 +370,8 @@ def test_protocol_radius_is_two_unless_given():
     ({"family": "set:3,6", "l1_lambda": "0.1"}, "config key 'l1_lambda' must be a real number, "
      "got '0.1'"),
     ({"family": 5}, "config key 'family' must be a family label, got 5"),
-    ({"family": "set:3,6", "beta": -1}, "beta must be positive"),
+    ({"family": "set:3,6", "beta": -1}, "beta must be finite and positive, with 1 / beta "
+     "finite; got -1"),
     ({"family": "set:3,6", "m_train": -5}, "m_train must be >= 1"),
     ({"family": "set:3,6", "m_train": 0}, "m_train must be >= 1"),
     ({"family": "set:3,6", "m_test": 0}, "m_test must be >= 1"),
@@ -369,7 +387,8 @@ def test_protocol_radius_is_two_unless_given():
     ({"family": "set:3,6", "l1_lambda": float("nan")}, "l1_lambda must be finite and >= 0, "
      "got nan"),
     ({"family": "set:3,6", "l1_lambda": -0.5}, "l1_lambda must be finite and >= 0, got -0.5"),
-    ({"family": "set:3,6", "beta": float("inf")}, "beta must be finite, got inf"),
+    ({"family": "set:3,6", "beta": float("inf")}, "beta must be finite and positive, with "
+     "1 / beta finite; got inf"),
 ])
 def test_cli_train_rejects_bad_config_files(tmp_path, capsys, config, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -3,8 +3,10 @@ import pytest
 
 from randcrf import (CandidateSets, DagFamily, Dataset, LossKind, ProposalConfig,
                      SpanningTreeFamily, SubsetFamily, augment, build_candidate_sets, crf_pmf,
-                     exact_crf_loss, full_candidate_set, hamming_loss, loss_gap,
-                     randomized_loss, space)
+                     exact_crf_loss, full_candidate_set, hamming_loss, log_gain,
+                     log_gain_gradient, log_likelihood_gradient, loss_gap, randomized_loss,
+                     space)
+from randcrf.gumbel_crf import pmf_matrix
 from randcrf.spaces import StructuredOutput
 
 from oracles import (augment_reference, exhaustive_map_decode, hamming, loss_gap_reference,
@@ -143,6 +145,48 @@ def test_randomized_loss_requires_observed_output():
             (S.outputs[1],)]
     with pytest.raises(ValueError):
         randomized_loss(w, S, sets, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the Gumbel scale
+
+
+SCALE_ENTRY_POINTS = {
+    "pmf_matrix": lambda w, S, sets, beta: pmf_matrix(space(S.family), S.bits, w, beta),
+    "exact_crf_loss": lambda w, S, sets, beta: exact_crf_loss(w, S, beta),
+    "randomized_loss": randomized_loss,
+    "loss_gap": loss_gap,
+    "crf_pmf": lambda w, S, sets, beta: crf_pmf(S.family, S.inputs[0], w, sets[0], beta),
+    "log_gain": log_gain,
+    "log_gain_gradient": log_gain_gradient,
+    "log_likelihood_gradient": log_likelihood_gradient,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SCALE_ENTRY_POINTS))
+def test_every_function_of_a_scale_refuses_a_bad_one(entry):
+    # one check and one message: beta finite and positive, and 1 / beta
+    # finite; an infinite beta used to give the uniform distribution's loss,
+    # a subnormal one NaN, and the gradients at w = 0 inf
+    fn = SCALE_ENTRY_POINTS[entry]
+    rng = np.random.default_rng(21)
+    S, w = make_dataset(SET36, rng, m=3)
+    sets = random_augmented_sets(S, rng)
+    zero = np.zeros(SET36.feature_dim)
+    for beta in (np.inf, -np.inf, np.nan, 0.0, -1.0, 1e-320):
+        for weights in (w, zero):
+            with pytest.raises(ValueError, match=r"^beta must be finite and positive, with "
+                                                 rf"1 / beta finite; got {beta}$"):
+                fn(weights, S, sets, beta)
+    # weights that are not finite, or overflow when scaled, have messages of
+    # their own
+    with pytest.raises(ValueError, match=r"^weights must be finite$"):
+        fn(np.full(SET36.feature_dim, np.nan), S, sets, 1.0)
+    with pytest.raises(ValueError, match=r"^w / beta overflows at beta = 1e-300$"):
+        fn(np.full(SET36.feature_dim, 1e10), S, sets, 1e-300)
+    # a tiny scale is fine where w / beta stays finite
+    fn(zero, S, sets, 1e-300)
+    fn(w, S, sets, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randcrf import (CandidateSets, Dataset, DagFamily, Method, ProposalConfig, SubsetFamily,
-                     TrainConfig, augment, beta_schedule, build_candidate_sets, exact_crf_loss,
+from randcrf import (CandidateSets, Dataset, DagFamily, Method, ProposalConfig,
+                     SpanningTreeFamily, SubsetFamily, TrainConfig, alpha_schedule, augment,
+                     beta_schedule, build_candidate_sets, crf_pmf, exact_crf_loss,
                      full_candidate_set, generate_dataset, generate_ground_truth, hinge_loss,
                      log_gain, log_gain_gradient, log_likelihood_gradient, randomized_loss,
                      soft_threshold, space, train_crf, train_svm)
 from randcrf import spaces
 
-from oracles import hamming, log_likelihood, random_instance, score_of
+from oracles import (hamming, hinge_terms_reference, log_likelihood, prob_of, random_instance,
+                     score_of)
 
 SET25 = SubsetFamily(2, 5)  # r = 10, d = 10
 SET36 = SubsetFamily(3, 6)
@@ -312,6 +314,72 @@ def test_training_steps_along_the_public_gradient(method):
         assert trace.rows[0].objective == hinge_loss(w0, S, sets).value
 
 
+def reference_training(S, cfg):
+    """A randomized method's training loop from the public functions: each
+    iteration draws its sets by ``build_candidate_sets`` at
+    ``alpha_schedule(w, m)`` and ``augment``s them; a CRF method steps along
+    ``log_likelihood_gradient`` and reads its objective off ``crf_pmf``, an
+    SVM method steps along the per-sample hinge subgradient.  Returns the
+    weights, each iteration's (objective, gradient norm, mean and largest
+    set size) and the last sets."""
+    sp, m = space(S.family), S.m
+    beta = beta_schedule(m, sp.size) if cfg.method.is_crf else None
+    step0 = beta if cfg.method.is_crf else 1.0
+    n_target = cfg.resolved_n_target(m)
+    rng = np.random.default_rng(cfg.seed)
+    w = np.zeros(S.family.feature_dim)
+    rows = []
+    for t in range(1, cfg.iterations + 1):
+        step = step0 / math.sqrt(t)
+        drawn = build_candidate_sets(S.family, S, w, ProposalConfig(alpha_schedule(w, m),
+                                                                    cfg.neighborhood_k, n_target),
+                                     rng)
+        sets = augment(drawn, S)
+        if cfg.method.is_crf:
+            g = log_likelihood_gradient(w, S, sets, beta)
+            q = [prob_of(crf_pmf(S.family, x, w, cs, beta), y)
+                 for x, cs, y in zip(S.inputs, sets, S.outputs)]
+            objective = float(1.0 - np.mean(q))
+            w = w + step * g
+        else:
+            margins, g = hinge_terms_reference(w, S, sets)
+            objective = float(margins.mean())
+            w = w - step * g
+        w = soft_threshold(w, step * cfg.l1_lambda)
+        rows.append((objective, float(np.abs(g).max()), int(sets.offsets[-1]) / m,
+                     int(sets.counts.max())))
+    return w, rows, sets
+
+
+@pytest.mark.parametrize("family,k", [(SubsetFamily(4, 15), 2), (DagFamily(5, 1), 2),
+                                      (SpanningTreeFamily(4), 2), (SubsetFamily(4, 15), 1)],
+                         ids=lambda v: repr(v) if not isinstance(v, int) else f"k={v}")
+@pytest.mark.parametrize("method", [Method.CRF_RAND, Method.SVM_RAND], ids=lambda m: m.value)
+def test_randomized_training_matches_the_public_loop(family, k, method):
+    # twenty iterations from w = 0, bit for bit: the trainers build each
+    # per-training constant and per-iteration array once, and must still add
+    # every sum in the order of the public functions (at set:4,15's radius
+    # 1 no output has a neighbor)
+    S = generate_dataset(family, generate_ground_truth(family, 1), 40, 2)
+    cfg = TrainConfig(method, iterations=20, seed=3, neighborhood_k=k)
+    train = train_crf if method.is_crf else train_svm
+    w, trace = train(S, cfg)
+    want_w, want_rows, want_sets = reference_training(S, cfg)
+    np.testing.assert_array_equal(w, want_w)
+    got_rows = [(r.objective, r.grad_inf_norm, r.set_size_mean, r.set_size_max)
+                for r in trace.rows]
+    if method.is_crf:
+        # crf_pmf adds a set's exponentials by numpy's pairwise sum and the
+        # segment path by reduceat, so sets of 8 or more round differently
+        assert [r[0] for r in got_rows] == pytest.approx([r[0] for r in want_rows],
+                                                         rel=1e-13, abs=0)
+        got_rows = [r[1:] for r in got_rows]
+        want_rows = [r[1:] for r in want_rows]
+    assert got_rows == want_rows
+    np.testing.assert_array_equal(trace.final_candidate_sets.offsets, want_sets.offsets)
+    np.testing.assert_array_equal(trace.final_candidate_sets.indices, want_sets.indices)
+
+
 def test_method_entrypoints_are_checked():
     rng = np.random.default_rng(11)
     S = make_dataset(SET36, rng, m=2)
@@ -320,7 +388,7 @@ def test_method_entrypoints_are_checked():
     with pytest.raises(ValueError):
         train_svm(S, TrainConfig(method=Method.CRF_RAND))
     for beta in (0.0, -1.0):
-        with pytest.raises(ValueError, match="beta must be positive"):
+        with pytest.raises(ValueError, match="^beta must be finite and positive"):
             TrainConfig(method=Method.CRF_RAND, beta=beta)
     for name in ("neighborhood_k", "n_target"):
         with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
@@ -331,10 +399,11 @@ def test_method_entrypoints_are_checked():
     for l1 in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^l1_lambda must be finite and >= 0, got "):
             TrainConfig(method=Method.CRF_ALL, l1_lambda=l1)
-    with pytest.raises(ValueError, match=r"^beta must be finite, got inf$"):
-        TrainConfig(method=Method.CRF_RAND, beta=math.inf)
-    with pytest.raises(ValueError, match="^beta must be positive$"):
-        TrainConfig(method=Method.CRF_RAND, beta=math.nan)
+    # a subnormal scale overflows 1 / beta, by which the gradients scale
+    for beta in (math.inf, math.nan, 1e-320):
+        with pytest.raises(ValueError, match=r"^beta must be finite and positive, with 1 / beta "
+                                             rf"finite; got {beta}$"):
+            TrainConfig(method=Method.CRF_RAND, beta=beta)
 
 
 # Exact trainers in a fresh process that never builds a neighbor table: with
