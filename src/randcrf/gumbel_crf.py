@@ -63,8 +63,7 @@ class CandidateSets(Sequence):
     (``full_space``) keeps offsets only and tiles its indices on request.
 
     Sets built from keys keep the sample of each flat entry, which the same
-    division gives (``from_keys``); sets merged around the observed outputs
-    keep their positions too (``proposal._augment_keys``).
+    division gives (``from_keys``).
     """
 
     def __init__(self, family: StructureFamily, offsets: np.ndarray, indices: np.ndarray | None,
@@ -73,7 +72,6 @@ class CandidateSets(Sequence):
         self.offsets = offsets
         self._indices = indices
         self._samples = samples
-        self._observed: tuple[np.ndarray, np.ndarray] | None = None
         self.full_space = indices is None
 
     @classmethod
@@ -101,11 +99,8 @@ class CandidateSets(Sequence):
         return self._samples
 
     def observed_positions(self, y_idx: np.ndarray) -> np.ndarray:
-        """Flat position of each sample's observed output ``y_idx[i]``: the
-        positions found when the sets were merged around this very array,
-        else found by a scan."""
-        if self._observed is not None and self._observed[0] is y_idx:
-            return self._observed[1]
+        """Flat position of each sample's observed output ``y_idx[i]``, found
+        by a scan."""
         hit = (self.indices == y_idx[self.samples]).nonzero()[0]
         if hit.size != len(self):
             raise ValueError("a candidate set does not contain its observed output")

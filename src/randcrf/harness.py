@@ -21,8 +21,8 @@ import numpy as np
 
 from .gumbel_crf import as_weights, full_candidate_set
 from .losses import Dataset, exact_crf_loss, hamming_loss
-from .spaces import (DagFamily, SpanningTreeFamily, StructureFamily, StructuredOutput,
-                     SubsetFamily, space)
+from .spaces import (DagFamily, EnumeratedSpace, SpanningTreeFamily, StructureFamily,
+                     StructuredOutput, SubsetFamily, space)
 from .trainer import (Method, TrainConfig, TrainTrace, beta_schedule, hinge_loss,
                       train_crf, train_svm)
 
@@ -385,14 +385,16 @@ def load_dataset(path: str, family: StructureFamily) -> Dataset:
     """Read the JSON-lines format of ``save_dataset``.  Every line must hold
     ``x``, a string of ``feature_dim`` 0/1 bits, and ``y``, a list of
     component indices forming a valid structure of ``family``; a ValueError
-    names the first line that does not."""
+    names the first line that does not.  Each ``y`` is looked up in the
+    family's space, built first: FamilyTooLargeError past its budget."""
+    sp = space(family)
     X, outputs = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                bits, y = _parse_sample(line, family)
+                bits, y = _parse_sample(line, sp)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             X.append(bits)
@@ -402,7 +404,8 @@ def load_dataset(path: str, family: StructureFamily) -> Dataset:
     return Dataset(family, np.array(X, dtype=np.uint8), tuple(outputs))
 
 
-def _parse_sample(line: str, family: StructureFamily) -> tuple[list[int], StructuredOutput]:
+def _parse_sample(line: str, sp: EnumeratedSpace) -> tuple[list[int], StructuredOutput]:
+    family = sp.family
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object with keys 'x' and 'y'")
@@ -414,9 +417,12 @@ def _parse_sample(line: str, family: StructureFamily) -> tuple[list[int], Struct
         raise ValueError("'x' holds characters other than 0 and 1")
     if not isinstance(y, list) or not all(type(c) is int for c in y):
         raise ValueError("'y' must be a list of integer component indices")
-    if not family.is_valid(tuple(y)):
-        raise ValueError(f"'y' {y} is not a valid structure of {family_label(family)}")
-    return [int(ch) for ch in x], StructuredOutput(family, tuple(y))
+    try:
+        out = StructuredOutput(family, tuple(y))
+        sp.indices((out,))
+    except (ValueError, OverflowError):  # unsorted, not in the space, or beyond int64
+        raise ValueError(f"'y' {y} is not a valid structure of {family_label(family)}") from None
+    return [int(ch) for ch in x], out
 
 
 def save_weights(path: str, w) -> None:

@@ -94,7 +94,8 @@ def randomized_loss(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]],
 def loss_gap(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]], beta: float) -> float:
     """Closed-form difference randomized_loss - exact_crf_loss: minus the mean
     of (restricted probability of the observed output) times (full-space mass
-    outside the candidate set).  Always <= 0."""
+    outside the candidate set).  At most 0 up to rounding: over a full
+    support it can come out near 1e-17 above zero."""
     sets = as_candidate_sets(Tbar, S.family, S.m)
     q = 1.0 - randomized_loss(w, S, sets, beta).per_sample
     full_probs, _ = pmf_matrix(space(S.family), S.bits, w, beta)

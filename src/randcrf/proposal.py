@@ -98,23 +98,19 @@ def _unique_keys(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _augment_keys(sp: EnumeratedSpace, keys: np.ndarray, y_idx: np.ndarray,
-                  y_keys: np.ndarray) -> CandidateSets:
+def _augment_keys(sp: EnumeratedSpace, keys: np.ndarray, y_keys: np.ndarray) -> CandidateSets:
     """The sets of sample-major keys ``keys`` (any order, repeats allowed),
-    each joined with its sample's observed output ``y_idx[i]``, whose key
-    ``y_keys[i]`` is ``i * size + y_idx[i]``."""
+    each joined with its sample's observed output, whose key ``y_keys[i]`` is
+    ``i * size + y_idx[i]``."""
     merged = _unique_keys(np.concatenate([keys, y_keys]))
-    sets = CandidateSets.from_keys(sp.family, merged, y_idx.size)
-    # the merge holds every observed key, so one searchsorted finds them all
-    sets._observed = y_idx, merged.searchsorted(y_keys)
-    return sets
+    return CandidateSets.from_keys(sp.family, merged, y_keys.size)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
-def propose(family: StructureFamily, x, y_observed: StructuredOutput, w,
+def propose(family: StructureFamily, x, y: StructuredOutput, w,
             cfg: ProposalConfig, rng: np.random.Generator) -> StructuredOutput:
     """One proposal draw: the batch draw of ``build_candidate_sets`` for one
     sample and one draw, whose key is then the end's index.
@@ -124,7 +120,7 @@ def propose(family: StructureFamily, x, y_observed: StructuredOutput, w,
     """
     sp = space(family)
     xw = (input_bits(family, x) * as_weights(w))[None, :]
-    end = _batch_end_keys(sp, xw, np.array([sp.index(y_observed)]), cfg.alpha, cfg.k, 1, rng)
+    end = _batch_end_keys(sp, xw, np.array([sp.index(y)]), cfg.alpha, cfg.k, 1, rng)
     return sp.outputs[int(end[0])]
 
 
@@ -168,21 +164,21 @@ def augment(T: Sequence[Sequence[StructuredOutput]], S: Dataset) -> CandidateSet
     """Force each candidate set to contain its sample's observed structure."""
     sp = space(S.family)
     sets = as_candidate_sets(T, S.family, S.m)
-    return _augment_keys(sp, sets.samples * sp.size + sets.indices, S.indices,
+    return _augment_keys(sp, sets.samples * sp.size + sets.indices,
                          np.arange(S.m) * sp.size + S.indices)
 
 
-def proposal_quality_frequency(family: StructureFamily, S: Dataset, w,
-                               T: Sequence[Sequence[StructuredOutput]], c: float = 0.0) -> float:
+def proposal_quality_frequency(S: Dataset, w, T: Sequence[Sequence[StructuredOutput]],
+                               c: float = 0.0) -> float:
     """Diagnostic: fraction of samples whose candidate set behaves well under w.
 
     A sample passes if either its observed structure is the unique score
     maximizer and the set is exactly the singleton of it, or the set's mean
     score clears the observed structure's score by c * ||w||_1.
     """
-    sets = as_candidate_sets(T, family, S.m)
+    sets = as_candidate_sets(T, S.family, S.m)
     wv = as_weights(w)
-    scores = space(family).score_matrix(S.bits, wv)
+    scores = space(S.family).score_matrix(S.bits, wv)
     y_idx = S.indices
     smp, cand, cols = sets.samples, sets.indices, np.arange(S.m)
     with np.errstate(invalid="ignore"):  # an empty set has no mean score and fails

@@ -142,13 +142,6 @@ class SubsetFamily:
     def num_outputs(self) -> int:
         return math.comb(self.universe, self.k)
 
-    def is_valid(self, components: tuple[int, ...]) -> bool:
-        return (
-            len(components) == self.k
-            and _strictly_sorted(components)
-            and all(0 <= c < self.universe for c in components)
-        )
-
     def _feature_cells(self, comps: np.ndarray) -> np.ndarray:
         # every output holds exactly k sorted elements; each pair of them fires, ascending
         a, b = np.triu_indices(self.k, 1)
@@ -192,10 +185,6 @@ class SpanningTreeFamily:
     @property
     def num_outputs(self) -> int:
         return self.num_nodes ** (self.num_nodes - 1)
-
-    def is_valid(self, components: tuple[int, ...]) -> bool:
-        v = self.num_nodes
-        return len(components) == v - 1 and _valid_parent_sets(components, v, 1)
 
     def _feature_cells(self, comps: np.ndarray) -> np.ndarray:
         # each edge fires its unordered node pair
@@ -243,9 +232,6 @@ class DagFamily:
     def num_outputs(self) -> int:
         return space(self).size
 
-    def is_valid(self, components: tuple[int, ...]) -> bool:
-        return _valid_parent_sets(components, self.num_nodes, self.max_parents)
-
     def _feature_cells(self, comps: np.ndarray) -> np.ndarray:
         # the feature grid is the component grid
         return comps
@@ -260,9 +246,8 @@ StructureFamily = Union[SubsetFamily, SpanningTreeFamily, DagFamily]
 # (``_components``): a row per output, its components ascending and padded
 # with -1, rows in the lexicographic order of the component tuples.  It maps
 # such rows to the feature columns they fire (``_feature_cells``), padded
-# with -1 where the components are; one output's ``feature_map`` and the
-# space's ``feature_indices``, which only the space's own methods read,
-# come from that map.
+# with -1 where the components are; the space's ``feature_indices``, which
+# only the space's own methods read, come from that map.
 
 
 def _unordered_pair_columns(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -270,41 +255,16 @@ def _unordered_pair_columns(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
-def _strictly_sorted(components: Sequence[int]) -> bool:
-    return all(a < b for a, b in zip(components, components[1:]))
-
-
-def _drained(parents: Sequence, zero=0):
-    """Bitmask of the nodes that drain, given each node's parents as a bitmask:
-    Python ints for one structure (``zero`` = 0), or uint8 arrays for many at
-    once (``zero`` = np.uint8(0), v <= 7).  A node drains once all its parents
-    have drained, so a structure is acyclic exactly when all v nodes drain;
-    each round drains at least one more node of an acyclic one."""
-    full = (zero | 1 << len(parents)) - 1
-    drained = zero
+def _drained(parents: Sequence[np.ndarray]) -> np.ndarray:
+    """Bitmask of the nodes that drain in each of many structures, given each
+    node's parents as a uint8 bitmask array (v <= 7).  A node drains once all
+    its parents have drained, so a structure is acyclic exactly when all v
+    nodes drain; each round drains at least one more node of an acyclic one."""
+    drained = np.zeros_like(parents[0])
     for _ in parents:
-        last = drained
         for n, mask in enumerate(parents):
-            drained |= ((mask & ~drained) == 0) * (zero | 1 << n)
-        if isinstance(drained, int) and drained in (last, full):
-            break  # one structure: stop once a round drains nothing new or all is drained
+            drained |= ((mask & ~drained) == 0) * np.uint8(1 << n)
     return drained
-
-
-def _valid_parent_sets(components: Sequence[int], v: int, max_parents: int) -> bool:
-    """Whether strictly sorted, in-range parent->child edge components choose
-    at most ``max_parents`` parents per node acyclically."""
-    if not _strictly_sorted(components):
-        return False
-    if components and not (0 <= components[0] and components[-1] < v * (v - 1)):
-        return False
-    parents = [0] * v
-    for c in components:
-        parent, rest = divmod(c, v - 1)
-        parents[rest + (rest >= parent)] |= 1 << parent
-    if max(map(int.bit_count, parents)) > max_parents:
-        return False
-    return _drained(parents) == (1 << v) - 1
 
 
 def _parent_set_scan(family: StructureFamily, max_parents: int,
@@ -322,7 +282,7 @@ def _parent_set_scan(family: StructureFamily, max_parents: int,
                          and m.bit_count() <= max_parents], dtype=np.uint8) for n in range(v)]
     # node n's parent set varies with stride count ** (v - 1 - n) over the combinations
     parents = [np.tile(np.repeat(options[n], count ** (v - 1 - n)), count ** n) for n in range(v)]
-    keep = _drained(parents, np.uint8(0)) == (1 << v) - 1
+    keep = _drained(parents) == (1 << v) - 1
     if edges is not None:
         keep &= sum(np.bitwise_count(mask) for mask in parents) == edges
     kept = np.stack([mask[keep] for mask in parents], axis=1)  # parent masks by child
@@ -354,8 +314,9 @@ class StructuredOutput:
     components: tuple[int, ...]
 
     def __post_init__(self):
-        if not _strictly_sorted(self.components):
-            raise ValueError(f"components must be strictly sorted, got {self.components}")
+        comps = self.components
+        if not all(a < b for a, b in zip(comps, comps[1:])):
+            raise ValueError(f"components must be strictly sorted, got {comps}")
 
 
 def make_input(family: StructureFamily, bits) -> np.ndarray:
@@ -606,13 +567,10 @@ def space(family: StructureFamily) -> EnumeratedSpace:
 def feature_map(family: StructureFamily, x, y: StructuredOutput) -> FeatureVector:
     """Joint feature vector: coordinate (i, j) fires iff the input bit (i, j)
     is set and the structure contains the pair (both elements chosen, or the
-    edge present).  Raises ValueError for a structure the family rejects."""
-    if y.family != family:
-        raise ValueError("structure does not belong to this family")
-    # the maps assume valid structures (a subset's map pairs elements k at a time)
-    if not family.is_valid(y.components):
-        raise ValueError(f"{y.components} is not a valid structure of {family}")
-    cells = family._feature_cells(np.asarray(y.components, dtype=np.int64)[None, :])
-    row = np.zeros(family.feature_dim)
-    row[cells[cells >= 0]] = 1.0
-    return row * input_bits(family, x)
+    edge present): the structure's feature row in the family's space, times
+    the input.  Like every function over structures it needs an enumerable
+    family (FamilyTooLargeError past the enumeration budget), and the space's
+    ``indices`` raises ValueError for a structure of another family or not a
+    valid one of this one."""
+    sp = space(family)
+    return sp.feature_rows(sp.indices((y,)))[0] * input_bits(family, x)

@@ -274,7 +274,7 @@ def _train(S: Dataset, cfg: TrainConfig):
         if method.randomized:
             sets = _augment_keys(sp, _batch_end_keys(sp, xw, y_idx, alpha_schedule(w, m),
                                                      cfg.neighborhood_k, n_target, rng),
-                                 y_idx, y_keys)
+                                 y_keys)
         # sum / m below: the bits of mean() without its Python-level wrapper
         if method.is_crf:
             q, diff = _gain_terms(sp, X, sets, y_idx, w, beta, observed)

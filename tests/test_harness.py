@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randcrf import (DagFamily, ExperimentConfig, Method, SpanningTreeFamily, SubsetFamily,
-                     TrainConfig, family_label, generate_dataset, generate_ground_truth,
-                     load_dataset, load_weights, parse_family, run_experiment, run_repetition,
-                     save_dataset, save_weights, space, summarize)
+from randcrf import (DagFamily, ExperimentConfig, FamilyTooLargeError, Method,
+                     SpanningTreeFamily, SubsetFamily, TrainConfig, family_label,
+                     generate_dataset, generate_ground_truth, load_dataset, load_weights,
+                     parse_family, run_experiment, run_repetition, save_dataset, save_weights,
+                     space, summarize)
 from randcrf.harness import METRIC_COLUMNS, METRICS_CSV_HEADER, MetricsRecord, write_csv
 from randcrf import cli
 
@@ -226,6 +227,7 @@ def test_dataset_round_trip(tmp_path):
     ({"x": "0" * 15, "y": [2, 1, 0]}, "not a valid structure"),
     ({"x": "0" * 15, "y": [0, 1, 6]}, "not a valid structure"),
     ([0, 1], "JSON object"),
+    ({"x": "0" * 15, "y": [0, 1, 2 ** 70]}, "not a valid structure"),
 ])
 def test_load_dataset_names_the_bad_line(tmp_path, bad, message):
     fam = SET36
@@ -254,6 +256,16 @@ def test_load_dataset_rejects_out_of_family_structures(tmp_path):
     path.write_text("\n")
     with pytest.raises(ValueError, match="no samples"):
         load_dataset(path, fam)
+
+
+def test_load_dataset_needs_an_enumerable_family(tmp_path):
+    # the space that judges each line is built first, so an over-budget
+    # family is named as such, not blamed on a line
+    tree = SpanningTreeFamily(8)
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps({"x": "0" * tree.feature_dim, "y": [0, 0]}) + "\n")
+    with pytest.raises(FamilyTooLargeError, match="exceeds the enumeration budget"):
+        load_dataset(path, tree)
 
 
 def test_weights_round_trip(tmp_path):

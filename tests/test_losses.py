@@ -7,7 +7,7 @@ from randcrf import (CandidateSets, DagFamily, Dataset, LossKind, ProposalConfig
                      log_gain_gradient, log_likelihood_gradient, loss_gap, randomized_loss,
                      space)
 from randcrf.gumbel_crf import pmf_matrix
-from randcrf.spaces import StructuredOutput
+from randcrf.spaces import EnumeratedSpace, StructuredOutput
 
 from oracles import (augment_reference, exhaustive_map_decode, hamming, loss_gap_reference,
                      monte_carlo_loss, prob_of, random_instance, randomized_loss_reference)
@@ -82,12 +82,15 @@ def test_dataset_rejects_invalid_structures():
 def test_dataset_resolves_its_outputs_once(monkeypatch):
     fam = SpanningTreeFamily(4)
     X, ys, _ = random_instance(fam, np.random.default_rng(13), m=7)
+    lookup, calls = EnumeratedSpace.indices, []
 
-    def is_valid(self, components):
-        raise AssertionError("Dataset validated an output a second way")
+    def indices(self, outputs):
+        calls.append(len(outputs))
+        return lookup(self, outputs)
 
-    monkeypatch.setattr(SpanningTreeFamily, "is_valid", is_valid)
+    monkeypatch.setattr(EnumeratedSpace, "indices", indices)
     S = Dataset(fam, X, ys)
+    assert calls == [7]  # one lookup of all seven outputs
     assert S.indices.tolist() == [space(fam).index(y) for y in S.outputs]
     assert S.bits.dtype == np.float64 and np.array_equal(S.bits, S.inputs)
 

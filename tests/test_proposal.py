@@ -1,13 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from randcrf import (Dataset, DagFamily, SpanningTreeFamily, SubsetFamily, alpha_schedule,
-                     augment, build_candidate_sets, propose, proposal_quality_frequency,
-                     space)
+                     as_candidate_sets, augment, build_candidate_sets, propose,
+                     proposal_quality_frequency, space)
 from randcrf.proposal import ProposalConfig
 
-from oracles import neighbors_k, propose_reference, random_instance
+from oracles import brute_force_tree_components, neighbors_k, propose_reference, random_instance
 
 SET14 = SubsetFamily(1, 4)  # featureless: every score is zero
 SET36 = SubsetFamily(3, 6)
@@ -230,14 +232,16 @@ def test_build_is_deterministic():
 
 def test_every_candidate_is_valid():
     rng = np.random.default_rng(12)
-    for family in (SET36, SpanningTreeFamily(4)):
+    oracles = {SET36: set(itertools.combinations(range(6), 3)),
+               SpanningTreeFamily(4): brute_force_tree_components(4)}
+    for family, valid in oracles.items():
         S = make_dataset(family, rng)
         sets = build_candidate_sets(family, S, rng.normal(size=family.feature_dim),
                                     ProposalConfig(alpha=1.0, k=2, n_target=6),
                                     np.random.default_rng(13))
         for cs in sets:
             for y in cs:
-                assert family.is_valid(y.components)
+                assert y.components in valid
 
 
 # ---------------------------------------------------------------------------
@@ -328,4 +332,18 @@ def test_quality_frequency_trivial_cases():
     singletons = [(y,) for y in S.outputs]
     # zero weights: no observed structure is a strict maximizer, and all scores
     # tie, so the mean-score condition holds for every set
-    assert proposal_quality_frequency(SET36, S, np.zeros(SET36.feature_dim), singletons) == 1.0
+    assert proposal_quality_frequency(S, np.zeros(SET36.feature_dim), singletons) == 1.0
+
+
+def test_quality_frequency_refuses_another_familys_sets():
+    # set:2,6 sets on a set:3,6 dataset: the dataset names the family, so
+    # the sets are looked up in its space and refused
+    rng = np.random.default_rng(18)
+    S = make_dataset(SET36, rng, m=4)
+    other = SubsetFamily(2, 6)
+    outs = space(other).outputs
+    w = np.zeros(SET36.feature_dim)
+    with pytest.raises(ValueError, match="is a structure of SubsetFamily"):
+        proposal_quality_frequency(S, w, [(outs[i],) for i in range(4)])
+    with pytest.raises(ValueError, match="candidate sets of SubsetFamily"):
+        proposal_quality_frequency(S, w, as_candidate_sets([outs[:3]] * 4, other, 4))

@@ -67,23 +67,39 @@ def test_dag_enumeration_matches_brute_force(v, p):
     assert got == brute_force_dag_components(v, p)
 
 
+def brute_force_components(family):
+    """The component tuples of every valid structure, found without the space:
+    a subset's are the sorted tuples of length k."""
+    if isinstance(family, SubsetFamily):
+        return set(itertools.combinations(range(family.universe), family.k))
+    if isinstance(family, DagFamily):
+        return brute_force_dag_components(family.num_nodes, family.max_parents)
+    return brute_force_tree_components(family.num_nodes)
+
+
 @pytest.mark.parametrize("family", [
-    SpanningTreeFamily(3), SpanningTreeFamily(4),
+    SubsetFamily(2, 4), SubsetFamily(3, 6), SpanningTreeFamily(3), SpanningTreeFamily(4),
     DagFamily(3, 1), DagFamily(3, 2), DagFamily(4, 1), DagFamily(4, 3),
 ], ids=repr)
-def test_is_valid_accepts_exactly_the_brute_force_structures(family):
-    v = family.num_nodes
-    oracle = (brute_force_dag_components(v, family.max_parents) if isinstance(family, DagFamily)
-              else brute_force_tree_components(v))
+def test_indices_accepts_exactly_the_brute_force_structures(family):
+    sp = space(family)
+    oracle = brute_force_components(family)
     # every strictly sorted component tuple, valid or not
     c = family.component_count
     for bits in range(2 ** c):
         comps = tuple(i for i in range(c) if bits >> i & 1)
-        assert family.is_valid(comps) == (comps in oracle), comps
-    # unsorted, repeated and out-of-range components
+        y = StructuredOutput(family, comps)
+        if comps in oracle:
+            assert sp.outputs[int(sp.indices((y,))[0])] == y
+        else:
+            with pytest.raises(ValueError, match="is not a valid structure of"):
+                sp.indices((y,))
+    # unsorted, repeated and out-of-range components: refused when built or
+    # when looked up, as the loader does both in one step
     y = max(oracle, key=len)
     for comps in (y[::-1], y[:1] * 2 + y[2:], y[:-1] + (c,), (-1,) + y[1:]):
-        assert not family.is_valid(comps), comps
+        with pytest.raises(ValueError):
+            sp.indices((StructuredOutput(family, comps),))
 
 
 @pytest.mark.parametrize("family", [SubsetFamily(3, 6), SpanningTreeFamily(4), DagFamily(3, 2)])
@@ -92,8 +108,8 @@ def test_enumeration_sorted_unique_and_valid(family):
     keys = [y.components for y in outs]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+    assert set(keys) == brute_force_components(family)
     for y in outs:
-        assert family.is_valid(y.components)
         assert tuple(sorted(set(y.components))) == y.components  # canonical form is a fixpoint
 
 
@@ -176,6 +192,14 @@ def test_feature_map_rejects_invalid_structures():
     dag = DagFamily(3, 2)
     with pytest.raises(ValueError, match="not a valid structure"):  # 0->1, 1->0
         feature_map(dag, np.ones(dag.feature_dim), StructuredOutput(dag, (0, 2)))
+    with pytest.raises(ValueError, match="is a structure of SubsetFamily"):
+        feature_map(SET_4_15, x, StructuredOutput(SubsetFamily(3, 15), (0, 1, 2)))
+
+
+def test_feature_map_needs_an_enumerable_family():
+    tree = SpanningTreeFamily(8)  # 8 ** 7 trees, past the enumeration budget
+    with pytest.raises(FamilyTooLargeError):
+        feature_map(tree, np.ones(tree.feature_dim), StructuredOutput(tree, tuple(range(7))))
 
 
 # ---------------------------------------------------------------------------
