@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
 
 from . import harness
 from .bounds import BOUND_TABLE_HEADER, bound_table
+from .harness import ExperimentConfig
 from .losses import LOSS_CSV_HEADER, exact_crf_loss, hamming_loss
 from .spaces import space
 from .trainer import TRACE_CSV_HEADER, Method, beta_schedule, trace_csv_rows
@@ -40,33 +40,34 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-#: ExperimentConfig keys that only ``reproduce`` reads: ``train`` takes m from
-#: its data file and trains the one ``--method``.
-_PROTOCOL_KEYS = ("m_train", "m_test", "repetitions", "methods")
+def _add_run_options(p):
+    """--seed, --iterations and --l1, shared by train and reproduce."""
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
+    p.add_argument("--iterations", type=int, default=ExperimentConfig.iterations)
+    p.add_argument("--l1", type=float, default=ExperimentConfig.l1_lambda, help="L1 penalty")
 
 
 def _add_train(sub):
     p = sub.add_parser("train", help="train one method on a dataset")
     p.add_argument("--method", required=True, choices=[m.value for m in Method])
-    p.add_argument("--config", required=True,
-                   help="JSON file of ExperimentConfig keys other than " + ", ".join(_PROTOCOL_KEYS))
+    p.add_argument("--family", required=True, help="tree[:v] | dag[:v,p] | set[:k,u]")
     p.add_argument("--data", required=True)
     p.add_argument("--out-weights", required=True)
+    _add_run_options(p)
+    p.add_argument("--beta", type=float, default=ExperimentConfig.beta,
+                   help="CRF Gumbel scale; default beta_schedule(m, r), m from --data")
+    p.add_argument("--neighborhood-k", type=int, default=ExperimentConfig.neighborhood_k,
+                   help="greedy-pass radius")
+    p.add_argument("--n-target", type=int, default=ExperimentConfig.n_target,
+                   help="proposal draws per sample; default ceil(sqrt(m))")
     p.add_argument("--trace", help="per-iteration CSV")
     p.add_argument("--run-id", default="train")
 
 
 def _cmd_train(args) -> int:
-    with open(args.config) as fh:
-        try:
-            raw = json.load(fh)
-            cfg = harness.ExperimentConfig.from_dict(raw)
-            protocol = [key for key in _PROTOCOL_KEYS if key in raw]
-            if protocol:
-                raise ValueError(f"train takes m from --data and the method from --method; "
-                                 f"drop {', '.join(protocol)}")
-        except ValueError as exc:
-            raise ValueError(f"{args.config}: {exc}") from None
+    cfg = ExperimentConfig(harness.parse_family(args.family), l1_lambda=args.l1, beta=args.beta,
+                           iterations=args.iterations, n_target=args.n_target,
+                           neighborhood_k=args.neighborhood_k, master_seed=args.seed)
     method = Method(args.method)
     S = harness.load_dataset(args.data, cfg.family)
     w_hat, trace = harness._train_method(
@@ -149,14 +150,12 @@ def _add_reproduce(sub):
     p = sub.add_parser("reproduce", help="run the full four-method comparison")
     p.add_argument("--families", default="tree,dag,set",
                    help="comma-separated family labels")
-    p.add_argument("--reps", type=int, default=30)
+    p.add_argument("--reps", type=int, default=ExperimentConfig.repetitions)
     p.add_argument("--out", required=True, help="metrics CSV")
     p.add_argument("--summary", help="summary CSV (means and 95%% CIs)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m-train", type=int, default=100)
-    p.add_argument("--m-test", type=int, default=100)
-    p.add_argument("--iterations", type=int, default=20)
-    p.add_argument("--l1", type=float, default=0.01)
+    p.add_argument("--m-train", type=int, default=ExperimentConfig.m_train)
+    p.add_argument("--m-test", type=int, default=ExperimentConfig.m_test)
+    _add_run_options(p)
     p.add_argument("--methods", default=",".join(m.value for m in Method))
 
 
@@ -164,7 +163,7 @@ def _cmd_reproduce(args) -> int:
     methods = tuple(Method(m) for m in args.methods.split(","))
     all_records, missing = [], []
     for family in harness.parse_family_list(args.families):
-        cfg = harness.ExperimentConfig(
+        cfg = ExperimentConfig(
             family=family, m_train=args.m_train, m_test=args.m_test,
             repetitions=args.reps, methods=methods, l1_lambda=args.l1,
             iterations=args.iterations, master_seed=args.seed)
@@ -216,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "reproduce" and args.summary and args.reps < 2:
         parser.error("reproduce --summary needs --reps 2 or more for confidence intervals")
     try:
-        if getattr(args, "seed", 0) < 0:  # gen-data and reproduce
+        if getattr(args, "seed", 0) < 0:  # gen-data, train and reproduce
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -157,11 +157,8 @@ def gumbel_from_uniform(u, beta: float) -> np.ndarray:
 
 def map_decode(family: StructureFamily, x, w) -> StructuredOutput:
     """Highest-scoring structure; ties go to the earliest in canonical order."""
-    sp = space(family)
-    if sp.size == 0:
-        raise ValueError("empty output space")
     s = _support_scores(family, x, as_weights(w), None)
-    return sp.outputs[int(np.argmax(s))]
+    return space(family).outputs[int(np.argmax(s))]
 
 
 def perturbed_decode(family: StructureFamily, x, w, gamma,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .gumbel_crf import as_weights, full_candidate_set
 from .losses import Dataset, exact_crf_loss, hamming_loss
-from .spaces import (DagFamily, EnumeratedSpace, SpanningTreeFamily, StructureFamily,
+from .spaces import (DagFamily, InvalidStructureError, SpanningTreeFamily, StructureFamily,
                      StructuredOutput, SubsetFamily, space)
 from .trainer import (Method, TrainConfig, TrainTrace, beta_schedule, hinge_loss,
                       train_crf, train_svm)
@@ -82,12 +82,6 @@ def generate_dataset(family: StructureFamily, w_star, m: int, seed) -> Dataset:
 # experiment configuration and records
 
 
-#: Config keys that take integers, and keys that take real numbers (``from_dict``).
-_CONFIG_INTS = ("m_train", "m_test", "repetitions", "iterations", "n_target", "neighborhood_k",
-                "master_seed")
-_CONFIG_REALS = ("l1_lambda", "beta")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     family: StructureFamily
@@ -128,40 +122,6 @@ class ExperimentConfig:
 
     def resolved_k(self) -> int:
         return self.neighborhood_k
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Config from parsed JSON: ``family`` is a label such as 'set:4,15',
-        ``methods`` a list of method names, the counts and the seed integers,
-        ``l1_lambda`` and ``beta`` real numbers, and a key whose
-        default is None may be null.  A ValueError names an unknown key or
-        the key of a value of the wrong type."""
-        if not isinstance(d, dict):
-            raise ValueError("config must be a JSON object")
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        if "family" not in d:
-            raise ValueError("config lacks the key 'family'")
-        for key, value in d.items():
-            if value is None and cls.__dataclass_fields__[key].default is None:
-                continue
-            if key in _CONFIG_INTS and type(value) is not int:
-                raise ValueError(f"config key '{key}' must be an integer, got {value!r}")
-            if key in _CONFIG_REALS and type(value) not in (int, float):
-                raise ValueError(f"config key '{key}' must be a real number, got {value!r}")
-        if not isinstance(d["family"], str):
-            raise ValueError(f"config key 'family' must be a family label, got {d['family']!r}")
-        names = [m.value for m in Method]
-        methods = d.get("methods", [])
-        if not (isinstance(methods, list) and all(m in names for m in methods)):
-            raise ValueError(f"config key 'methods' must be a list of method names among "
-                             f"{', '.join(names)}, got {methods!r}")
-        d = dict(d)
-        d["family"] = parse_family(d["family"])
-        if "methods" in d:
-            d["methods"] = tuple(Method(m) for m in d["methods"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -385,27 +345,37 @@ def load_dataset(path: str, family: StructureFamily) -> Dataset:
     """Read the JSON-lines format of ``save_dataset``.  Every line must hold
     ``x``, a string of ``feature_dim`` 0/1 bits, and ``y``, a list of
     component indices forming a valid structure of ``family``; a ValueError
-    names the first line that does not.  Each ``y`` is looked up in the
-    family's space, built first: FamilyTooLargeError past its budget."""
-    sp = space(family)
-    X, outputs = [], []
+    names the first line that does not.  All ``y`` are looked up at once in
+    the family's space, built first: FamilyTooLargeError past its budget."""
+    space(family)
+    bits, outputs, linenos = [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                bits, y = _parse_sample(line, sp)
+                x, y = _parse_sample(line, family)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            X.append(bits)
+            bits.append(x)
             outputs.append(y)
+            linenos.append(lineno)
     if not outputs:
         raise ValueError(f"{path}: no samples")
-    return Dataset(family, np.array(X, dtype=np.uint8), tuple(outputs))
+    X = np.frombuffer("".join(bits).encode("ascii"), dtype=np.uint8) - ord("0")
+    try:
+        return Dataset(family, X.reshape(len(bits), family.feature_dim), tuple(outputs))
+    except InvalidStructureError as exc:
+        y = list(outputs[exc.position].components)
+        raise ValueError(f"{path}, line {linenos[exc.position]}: "
+                         f"{_invalid_y(y, family)}") from None
 
 
-def _parse_sample(line: str, sp: EnumeratedSpace) -> tuple[list[int], StructuredOutput]:
-    family = sp.family
+def _invalid_y(y: list, family: StructureFamily) -> str:
+    return f"'y' {y} is not a valid structure of {family_label(family)}"
+
+
+def _parse_sample(line: str, family: StructureFamily) -> tuple[str, StructuredOutput]:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object with keys 'x' and 'y'")
@@ -418,11 +388,9 @@ def _parse_sample(line: str, sp: EnumeratedSpace) -> tuple[list[int], Structured
     if not isinstance(y, list) or not all(type(c) is int for c in y):
         raise ValueError("'y' must be a list of integer component indices")
     try:
-        out = StructuredOutput(family, tuple(y))
-        sp.indices((out,))
-    except (ValueError, OverflowError):  # unsorted, not in the space, or beyond int64
-        raise ValueError(f"'y' {y} is not a valid structure of {family_label(family)}") from None
-    return [int(ch) for ch in x], out
+        return x, StructuredOutput(family, tuple(y))
+    except ValueError:  # unsorted, or a component outside the family's range
+        raise ValueError(_invalid_y(y, family)) from None
 
 
 def save_weights(path: str, w) -> None:

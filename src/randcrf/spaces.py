@@ -78,6 +78,14 @@ class FamilyTooLargeError(ValueError):
     """Enumerating the family would exceed the configured budget."""
 
 
+class InvalidStructureError(ValueError):
+    """A structure its space does not hold, at ``position`` of an ``indices`` batch."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
+
+
 # ---------------------------------------------------------------------------
 # pair indexing
 #
@@ -308,7 +316,7 @@ def _check_budget(family: StructureFamily, size: int) -> None:
 
 @dataclass(frozen=True)
 class StructuredOutput:
-    """A structure: a strictly sorted, duplicate-free tuple of component indices."""
+    """A structure: a strictly sorted tuple of component indices in [0, component_count)."""
 
     family: StructureFamily
     components: tuple[int, ...]
@@ -317,6 +325,8 @@ class StructuredOutput:
         comps = self.components
         if not all(a < b for a, b in zip(comps, comps[1:])):
             raise ValueError(f"components must be strictly sorted, got {comps}")
+        if comps and not (0 <= comps[0] and comps[-1] < self.family.component_count):
+            raise ValueError(f"{comps} is not a valid structure of {self.family}")
 
 
 def make_input(family: StructureFamily, bits) -> np.ndarray:
@@ -446,7 +456,7 @@ class EnumeratedSpace:
             limit = min(max(k, 0), int(np.iinfo(dist_type).max))
             counts = np.empty(r, dtype=np.int64)
             pieces = []
-            chunk = max(1, _NEIGHBOR_BLOCK_PAIRS // max(1, r))
+            chunk = max(1, _NEIGHBOR_BLOCK_PAIRS // r)
             for lo in range(0, r, chunk):
                 hi = min(r, lo + chunk)
                 dist = np.bitwise_count(self.masks[lo:hi, None, :] ^ self.masks[None, :, :])
@@ -458,7 +468,7 @@ class EnumeratedSpace:
                 pieces.append(flat - row * r)
             indptr = np.zeros(r + 1, dtype=np.int64)
             np.cumsum(counts, out=indptr[1:])
-            cached = (indptr, np.concatenate(pieces) if pieces else np.empty(0, np.int64))
+            cached = (indptr, np.concatenate(pieces))
             self._neighbor_csr[k] = cached
         return cached
 
@@ -468,9 +478,13 @@ class EnumeratedSpace:
 
     def indices(self, ys: Sequence[StructuredOutput]) -> np.ndarray:
         """Positions of the structures ``ys`` in canonical order, looked up by
-        ``searchsorted`` over the sorted packed masks.  Raises ValueError for
-        the first one that belongs to another family or is not a valid
-        structure of this one."""
+        ``searchsorted`` over the sorted packed masks.  Raises for the first
+        one that belongs to another family (ValueError) or is not a valid
+        structure of this one (InvalidStructureError)."""
+        for position, y in enumerate(ys):
+            if y.family is not self.family and y.family != self.family:
+                self.indices(ys[:position])  # an invalid structure earlier is named first
+                raise ValueError(f"{y.components} is a structure of {y.family}, not of {self.family}")
         if self._masks_sorted is None:
             keys = _mask_keys(self.masks)
             order = np.argsort(keys)
@@ -481,16 +495,13 @@ class EnumeratedSpace:
         flat = np.fromiter(itertools.chain.from_iterable(comps), dtype=np.int64,
                            count=int(lengths.sum()))
         rows = np.arange(len(comps)).repeat(lengths)
-        inside = (flat >= 0) & (flat < self.family.component_count)
-        masks = _packed_masks(rows[inside], flat[inside], len(comps), self.masks.shape[1])
+        masks = _packed_masks(rows, flat, len(comps), self.masks.shape[1])
         found = order[keys.searchsorted(_mask_keys(masks)).clip(max=self.size - 1)]
         valid = (self.masks[found] == masks).all(axis=1)
-        valid[rows[~inside]] = False
-        for y, ok in zip(ys, valid.tolist()):
-            if y.family is not self.family and y.family != self.family:
-                raise ValueError(f"{y.components} is a structure of {y.family}, not of {self.family}")
-            if not ok:
-                raise ValueError(f"{y.components} is not a valid structure of {self.family}")
+        if not valid.all():
+            position = int(valid.argmin())
+            raise InvalidStructureError(
+                f"{comps[position]} is not a valid structure of {self.family}", position)
         return found
 
     def score_matrix(self, bit_matrix: np.ndarray, w: np.ndarray) -> np.ndarray:

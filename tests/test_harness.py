@@ -230,12 +230,35 @@ def test_dataset_round_trip(tmp_path):
     ({"x": "0" * 15, "y": [0, 1, 2 ** 70]}, "not a valid structure"),
 ])
 def test_load_dataset_names_the_bad_line(tmp_path, bad, message):
+    # a y is judged with all the others in one lookup and traced back to its
+    # line, so the bad line goes first, in the middle and last
     fam = SET36
     good = json.dumps({"x": "1" * fam.feature_dim, "y": [0, 2, 4]})
     path = tmp_path / "data.jsonl"
-    path.write_text("\n".join([good, "", json.dumps(bad), good]) + "\n")
-    with pytest.raises(ValueError, match=f"line 3: .*{message}"):
-        load_dataset(path, fam)
+    for lineno in (1, 3, 4):
+        lines = [good, "", good, good]
+        lines[lineno - 1] = json.dumps(bad)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {lineno}: "
+                                             f".*{message}"):
+            load_dataset(path, fam)
+
+
+def test_load_dataset_looks_its_outputs_up_once(tmp_path, monkeypatch):
+    from randcrf.spaces import EnumeratedSpace
+    S = generate_dataset(SET36, generate_ground_truth(SET36, 1), 7, 2)
+    path = tmp_path / "data.jsonl"
+    save_dataset(path, S)
+    calls = []
+    indices = EnumeratedSpace.indices
+
+    def counted(self, ys):
+        calls.append(len(ys))
+        return indices(self, ys)
+
+    monkeypatch.setattr(EnumeratedSpace, "indices", counted)
+    assert np.array_equal(load_dataset(path, SET36).indices, S.indices)
+    assert calls == [7]
 
 
 def test_load_dataset_rejects_out_of_family_structures(tmp_path):
@@ -340,22 +363,6 @@ def test_cli_input_errors_print_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_experiment_config_round_trip():
-    # the way `train --config` reads it: JSON text with a family label and
-    # method names
-    text = json.dumps({"family": "set:3,6", "repetitions": 3, "methods": ["crf_rand"],
-                       "master_seed": 11})
-    cfg = ExperimentConfig.from_dict(json.loads(text))
-    assert cfg == ExperimentConfig(family=SET36, repetitions=3, methods=(Method.CRF_RAND,),
-                                   master_seed=11)
-    assert ExperimentConfig.from_dict({"family": "tree"}) == \
-        ExperimentConfig(family=SpanningTreeFamily(6))
-    # integers count as real numbers, and null keeps a default of None
-    assert ExperimentConfig.from_dict({"family": "tree", "l1_lambda": 0, "beta": None,
-                                       "n_target": None}) == \
-        ExperimentConfig(family=SpanningTreeFamily(6), l1_lambda=0)
-
-
 def test_protocol_radius_is_two_unless_given():
     assert TrainConfig(method=Method.CRF_RAND).neighborhood_k == 2
     assert TrainConfig(method=Method.CRF_RAND, neighborhood_k=4).neighborhood_k == 4
@@ -366,51 +373,45 @@ def test_protocol_radius_is_two_unless_given():
         assert ExperimentConfig(family=family, neighborhood_k=4).resolved_k() == 4
 
 
-@pytest.mark.parametrize("config,message", [
-    ({"family": "set:3,6", "bogus": 1, "alpha": 2}, "unknown config keys: alpha, bogus"),
-    ({"m_train": 10}, "config lacks the key 'family'"),
-    (["set:3,6"], "config must be a JSON object"),
-    ({"family": "set:3,6", "methods": 5}, "config key 'methods' must be a list of method names "
-     "among crf_all, crf_rand, svm_all, svm_rand, got 5"),
-    ({"family": "set:3,6", "methods": ["crf_all", "svm"]}, "config key 'methods' must be a list "
-     "of method names among crf_all, crf_rand, svm_all, svm_rand, got ['crf_all', 'svm']"),
-    ({"family": "set:3,6", "m_train": "abc"}, "config key 'm_train' must be an integer, got 'abc'"),
-    ({"family": "set:3,6", "master_seed": 1.5}, "config key 'master_seed' must be an integer, "
-     "got 1.5"),
-    ({"family": "set:3,6", "iterations": True}, "config key 'iterations' must be an integer, "
-     "got True"),
-    ({"family": "set:3,6", "l1_lambda": "0.1"}, "config key 'l1_lambda' must be a real number, "
-     "got '0.1'"),
-    ({"family": 5}, "config key 'family' must be a family label, got 5"),
-    ({"family": "set:3,6", "beta": -1}, "beta must be finite and positive, with 1 / beta "
-     "finite; got -1"),
-    ({"family": "set:3,6", "m_train": -5}, "m_train must be >= 1"),
-    ({"family": "set:3,6", "m_train": 0}, "m_train must be >= 1"),
-    ({"family": "set:3,6", "m_test": 0}, "m_test must be >= 1"),
-    ({"family": "set:3,6", "iterations": 0}, "iterations must be >= 1"),
-    ({"family": "set:3,6", "n_target": 0}, "n_target must be >= 1"),
-    ({"family": "set:3,6", "neighborhood_k": -1}, "neighborhood_k must be >= 1"),
-    ({"family": "set:3,6", "master_seed": -1}, "master_seed must be >= 0"),
-    ({"family": "set:3,6", "methods": ["crf_all", "svm_all", "crf_all"]},
+@pytest.mark.parametrize("fields,message", [
+    ({"m_train": -5}, "m_train must be >= 1"),
+    ({"m_train": 0}, "m_train must be >= 1"),
+    ({"m_test": 0}, "m_test must be >= 1"),
+    ({"master_seed": -1}, "master_seed must be >= 0"),
+    ({"methods": (Method.CRF_ALL, Method.SVM_ALL, Method.CRF_ALL)},
      "method crf_all is listed twice"),
-    ({"family": "set:3,6", "step0": 0.5}, "unknown config keys: step0"),
-    ({"family": "set:3,6", "neighborhood_k": None}, "config key 'neighborhood_k' must be an "
-     "integer, got None"),
-    ({"family": "set:3,6", "l1_lambda": float("nan")}, "l1_lambda must be finite and >= 0, "
-     "got nan"),
-    ({"family": "set:3,6", "l1_lambda": -0.5}, "l1_lambda must be finite and >= 0, got -0.5"),
-    ({"family": "set:3,6", "beta": float("inf")}, "beta must be finite and positive, with "
-     "1 / beta finite; got inf"),
 ])
-def test_cli_train_rejects_bad_config_files(tmp_path, capsys, config, message):
+def test_experiment_config_refuses_bad_protocol_values(fields, message):
+    # values that only reproduce and Python callers set
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        ExperimentConfig.from_dict(config)
-    path, data = tmp_path / "cfg.json", tmp_path / "d.jsonl"
-    path.write_text(json.dumps(config))
+        ExperimentConfig(family=SET36, **fields)
+
+
+@pytest.mark.parametrize("option,message", [
+    (["--iterations", "0"], "iterations must be >= 1"),
+    (["--n-target", "0"], "n_target must be >= 1"),
+    (["--neighborhood-k", "0"], "neighborhood_k must be >= 1"),
+    (["--l1", "nan"], "l1_lambda must be finite and >= 0, got nan"),
+    (["--l1", "-0.5"], "l1_lambda must be finite and >= 0, got -0.5"),
+    (["--beta", "inf"], "beta must be finite and positive, with 1 / beta finite; got inf"),
+    (["--beta", "-1"], "beta must be finite and positive, with 1 / beta finite; got -1.0"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+])
+def test_cli_train_refuses_out_of_range_flags(tmp_path, capsys, option, message):
+    data = tmp_path / "d.jsonl"
     data.write_text(json.dumps({"x": "0" * SET36.feature_dim, "y": [0, 1, 2]}) + "\n")
-    assert cli.main(["train", "--method", "crf_all", "--config", str(path), "--data", str(data),
-                     "--out-weights", str(tmp_path / "w.json")]) == 2
-    assert capsys.readouterr().err == f"randcrf: {path}: {message}\n"
+    assert cli.main(["train", "--method", "crf_rand", "--family", "set:3,6", *option,
+                     "--data", str(data), "--out-weights", str(tmp_path / "w.json")]) == 2
+    assert capsys.readouterr() == ("", f"randcrf: {message}\n")
+    assert not (tmp_path / "w.json").exists()
+
+
+def test_cli_train_flags_are_typed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--method", "crf_all", "--family", "set:3,6", "--iterations", "abc",
+                  "--data", str(tmp_path / "d.jsonl"), "--out-weights", str(tmp_path / "w.json")])
+    assert exc.value.code == 2
+    assert "--iterations: invalid int value: 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "w.json").exists()
 
 
@@ -434,12 +435,10 @@ def test_cli_gen_train_eval_round_trip(tmp_path):
     weights = tmp_path / "w.json"
     trace = tmp_path / "trace.csv"
     metrics = tmp_path / "m.csv"
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"family": "set:3,6", "iterations": 4, "master_seed": 3}))
     assert cli.main(["gen-data", "--family", "set:3,6", "--seed", "1", "--m", "15",
                      "--out", str(data)]) == 0
-    assert cli.main(["train", "--method", "crf_rand", "--config", str(config),
-                     "--data", str(data), "--out-weights", str(weights),
+    assert cli.main(["train", "--method", "crf_rand", "--family", "set:3,6", "--iterations", "4",
+                     "--seed", "3", "--data", str(data), "--out-weights", str(weights),
                      "--trace", str(trace)]) == 0
     assert cli.main(["eval", "--weights", str(weights), "--data", str(data),
                      "--family", "set:3,6", "--metrics", str(metrics)]) == 0
@@ -460,16 +459,15 @@ def test_cli_gen_train_eval_reproduces_repetition_zero(tmp_path):
     # gen-data and train draw from the streams of repetition 0 of
     # reproduce --seed, and train's n_target and beta follow the data's m
     seed, m, iterations = 3, 15, 4
-    data, config = tmp_path / "d.jsonl", tmp_path / "cfg.json"
-    config.write_text(json.dumps({"family": "set:3,6", "iterations": iterations,
-                                  "l1_lambda": 0.01, "master_seed": seed}))
+    data = tmp_path / "d.jsonl"
     assert cli.main(["gen-data", "--family", "set:3,6", "--seed", str(seed), "--m", str(m),
                      "--out", str(data)]) == 0
     cfg = ExperimentConfig(family=SET36, m_train=m, iterations=iterations, l1_lambda=0.01,
                            master_seed=seed, methods=(Method.CRF_RAND, Method.SVM_RAND))
     for record in run_repetition(cfg, 0):
         weights, metrics = tmp_path / f"{record.method}.json", tmp_path / f"{record.method}.csv"
-        assert cli.main(["train", "--method", record.method, "--config", str(config),
+        assert cli.main(["train", "--method", record.method, "--family", "set:3,6",
+                         "--iterations", str(iterations), "--l1", "0.01", "--seed", str(seed),
                          "--data", str(data), "--out-weights", str(weights)]) == 0
         w = load_weights(weights)
         assert record.weight_support > 0
@@ -481,22 +479,6 @@ def test_cli_gen_train_eval_reproduces_repetition_zero(tmp_path):
             with open(metrics) as fh:
                 values = {row["kind"]: float(row["value"]) for row in csv.DictReader(fh)}
             assert values["exact_crf"] == record.train_loss_exact
-
-
-@pytest.mark.parametrize("key,value", [
-    ("m_train", 30), ("m_test", 30), ("repetitions", 1), ("methods", ["crf_rand"]),
-])
-def test_cli_train_refuses_protocol_keys(tmp_path, capsys, key, value):
-    # train takes m from its data file and trains one --method; these keys
-    # were read for n_target (m_train) or ignored
-    path, data = tmp_path / "cfg.json", tmp_path / "d.jsonl"
-    path.write_text(json.dumps({"family": "set:3,6", key: value}))
-    data.write_text(json.dumps({"x": "0" * SET36.feature_dim, "y": [0, 1, 2]}) + "\n")
-    assert cli.main(["train", "--method", "crf_rand", "--config", str(path), "--data", str(data),
-                     "--out-weights", str(tmp_path / "w.json")]) == 2
-    assert capsys.readouterr().err == (f"randcrf: {path}: train takes m from --data and the "
-                                       f"method from --method; drop {key}\n")
-    assert not (tmp_path / "w.json").exists()
 
 
 @pytest.mark.parametrize("m", ["0", "-1"])

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randcrf import (Dataset, DagFamily, FamilyTooLargeError, SpanningTreeFamily,
-                     StructuredOutput, SubsetFamily, feature_map, full_candidate_set, make_input,
-                     space)
+                     StructuredOutput, SubsetFamily, crf_pmf, feature_map, full_candidate_set,
+                     make_input, space)
 from randcrf import spaces
 from randcrf.spaces import ordered_pair_index, unordered_pair_index
 
@@ -395,21 +395,35 @@ def test_index_refuses_what_the_space_does_not_hold(family):
     sp = space(family)
     y = sp.outputs[sp.size // 2]
     c = family.component_count
+    # an out-of-range component is refused when the structure is built, with
+    # the space's message
     for comps in (y.components[:-1],  # one component short, or (DAGs) another DAG
                   y.components[:-1] + (c,), (-1,) + y.components[1:]):
         if comps in {z.components for z in sp.outputs}:
             continue
-        bad = StructuredOutput(family, comps)
         with pytest.raises(ValueError, match=r"is not a valid structure of"):
-            sp.index(bad)
+            sp.index(StructuredOutput(family, comps))
         with pytest.raises(ValueError, match=r"is not a valid structure of"):
-            sp.indices([y, bad, y])
+            sp.indices([y, StructuredOutput(family, comps), y])
     if isinstance(family, DagFamily):  # both directions of one edge
         with pytest.raises(ValueError, match=r"\(0, 2\) is not a valid structure of"):
             sp.index(StructuredOutput(family, (0, 2)))
     other = SubsetFamily(2, 3)
     with pytest.raises(ValueError, match=r"is a structure of SubsetFamily\(k=2, universe=3\)"):
         sp.indices([y, StructuredOutput(other, (0, 1))])
+
+
+def test_a_component_past_int64_is_refused_as_invalid():
+    # it raised OverflowError from the lookup's int64 array, in every caller
+    # but the loader
+    fam = SubsetFamily(3, 6)
+    x = np.ones(fam.feature_dim)
+    X = np.ones((1, fam.feature_dim), dtype=np.uint8)
+    for use in (lambda y: Dataset(fam, X, (y,)), lambda y: feature_map(fam, x, y),
+                lambda y: crf_pmf(fam, x, x, [space(fam).outputs[0], y], 1.0)):
+        with pytest.raises(ValueError, match=r"^\(0, 1, 1180591620717411303424\) is not a "
+                                             r"valid structure of SubsetFamily"):
+            use(StructuredOutput(fam, (0, 1, 2 ** 70)))
 
 
 def test_neighbor_csr_edge_radii():
