@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gumbel_crf import as_weights
+from .trainer import beta_schedule
 
 
 @dataclass(frozen=True)
@@ -82,17 +83,14 @@ def total_bound(w, inputs: BoundInputs) -> float:
 
 def beta_condition(beta: float, w, m: int, r: int) -> bool:
     """Whether the Gumbel scale is small enough for the approximation bound:
-    beta <= min(||w||_1 / ln m, w_min / ln((r - 1)(sqrt(m) - 1))), with w_min the
-    smallest nonzero |w_j| (inf for the zero vector)."""
-    if m < 2 or r < 2:
-        raise ValueError("need m >= 2 and r >= 2")
-    arg = (r - 1) * (math.sqrt(m) - 1.0)
-    if arg <= 1.0:
-        raise ValueError(f"(r - 1)(sqrt(m) - 1) = {arg} must exceed 1")
+    beta <= min(||w||_1 / ln m, w_min * beta_schedule(m, r)), with w_min the
+    smallest nonzero |w_j| (inf for the zero vector).  Refused where
+    ``beta_schedule`` is undefined, which covers m < 2 and r < 2."""
+    scale = beta_schedule(m, r)
     w = as_weights(w)
     nonzero = np.abs(w[w != 0])
     w_min = float(nonzero.min()) if nonzero.size else math.inf
-    return beta <= min(float(np.abs(w).sum()) / math.log(m), w_min / math.log(arg))
+    return beta <= min(float(np.abs(w).sum()) / math.log(m), w_min * scale)
 
 
 def sample_size_condition(n: int, m: int, c: float = 0.0) -> bool:

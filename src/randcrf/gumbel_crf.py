@@ -47,14 +47,6 @@ def full_candidate_set(family: StructureFamily) -> Sequence[StructuredOutput]:
     return space(family).outputs
 
 
-def _distinct(idx: np.ndarray) -> np.ndarray:
-    """``idx`` sorted, after checking that no entry repeats."""
-    idx = np.sort(idx)
-    if (idx[1:] == idx[:-1]).any():
-        raise ValueError("candidate set contains duplicate structures")
-    return idx
-
-
 class CandidateSets(Sequence):
     """The per-sample candidate sets of one dataset in compressed sparse rows:
     sample i's set is ``indices[offsets[i]:offsets[i + 1]]``, ascending space
@@ -62,8 +54,8 @@ class CandidateSets(Sequence):
     per-sample tuples of outputs.  The full space for every sample
     (``full_space``) keeps offsets only and tiles its indices on request.
 
-    Sets built from keys keep the sample of each flat entry, which the same
-    division gives (``from_keys``).
+    Sets built from entries (``from_entries``) keep the sample of each flat
+    entry.
     """
 
     def __init__(self, family: StructureFamily, offsets: np.ndarray, indices: np.ndarray | None,
@@ -75,9 +67,20 @@ class CandidateSets(Sequence):
         self.full_space = indices is None
 
     @classmethod
-    def from_keys(cls, family: StructureFamily, keys: np.ndarray, m: int) -> CandidateSets:
-        """From sorted, distinct sample-major keys ``sample * size + index``."""
-        smp, indices = np.divmod(keys, space(family).size)
+    def from_entries(cls, family: StructureFamily, samples: np.ndarray, indices: np.ndarray,
+                     m: int) -> CandidateSets:
+        """The sets of the (sample, output index) entries ``zip(samples,
+        indices)``, given in any order: repeats are dropped and each set is in
+        canonical order.  Entries are keyed ``sample * size + index``, sorted in
+        place and compared with their neighbors (np.unique costs ~10x more at
+        these sizes), and the distinct keys divided back."""
+        size = space(family).size
+        keys = samples * size + indices
+        keys.sort()
+        keep = np.empty(keys.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        smp, indices = np.divmod(keys[keep], size)
         return cls(family, smp.searchsorted(np.arange(m + 1)), indices, smp)
 
     @property
@@ -92,8 +95,8 @@ class CandidateSets(Sequence):
 
     @property
     def samples(self) -> np.ndarray:
-        """The sample of each flat entry: kept from the keys, else derived
-        from the offsets."""
+        """The sample of each flat entry: kept by ``from_entries``, else
+        derived from the offsets."""
         if self._samples is None:
             return np.arange(len(self)).repeat(self.counts)
         return self._samples
@@ -133,8 +136,11 @@ def as_candidate_sets(sets: Sequence[Sequence[StructuredOutput]], family: Struct
     if all(cs is sp.outputs for cs in sets):
         return CandidateSets(family, np.arange(m + 1) * sp.size, None)
     counts = [len(cs) for cs in sets]
-    keys = (np.arange(m) * sp.size).repeat(counts) + sp.indices([y for cs in sets for y in cs])
-    return CandidateSets.from_keys(family, _distinct(keys), m)
+    listed = CandidateSets.from_entries(family, np.arange(m).repeat(counts),
+                                        sp.indices([y for cs in sets for y in cs]), m)
+    if listed.offsets[-1] < sum(counts):
+        raise ValueError("candidate set contains duplicate structures")
+    return listed
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +195,8 @@ def _support_scores(family: StructureFamily, x, w,
     bits = input_bits(family, x)[None, :]
     if support is None or support is sp.outputs:
         return sp.score_matrix(bits, w)[:, 0]
-    idx = sp.indices(support)
-    _distinct(idx)
-    return sp.gather_scores(bits * w, 0, idx)
+    as_candidate_sets([support], family, 1)  # refuses a repeated output
+    return sp.gather_scores(bits * w, 0, sp.indices(support))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +232,7 @@ def crf_pmf(family: StructureFamily, x, w, support: Sequence[StructuredOutput],
     scores = _support_scores(family, x, w_eff, support)
     shift = scores.max()
     e = np.exp(scores - shift)
-    z = e.sum()
+    z = np.add.reduceat(e, [0])[0]  # the sum of _segment_pmfs, whose bits the trainers give
     return CrfDistribution(tuple(support), e / z, float(shift + np.log(z)), beta)
 
 

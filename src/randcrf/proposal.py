@@ -88,24 +88,6 @@ def _greedy_pairs(sp: EnumeratedSpace, xw, pair_smp, pair_start, k: int) -> np.n
     return cand[hit[hit.searchsorted(end) - 1]]
 
 
-def _unique_keys(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct keys, after sorting ``keys`` in place (np.unique
-    costs ~10x more at these sizes)."""
-    keys.sort()
-    keep = np.empty(keys.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
-
-
-def _augment_keys(sp: EnumeratedSpace, keys: np.ndarray, y_keys: np.ndarray) -> CandidateSets:
-    """The sets of sample-major keys ``keys`` (any order, repeats allowed),
-    each joined with its sample's observed output, whose key ``y_keys[i]`` is
-    ``i * size + y_idx[i]``."""
-    merged = _unique_keys(np.concatenate([keys, y_keys]))
-    return CandidateSets.from_keys(sp.family, merged, y_keys.size)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -113,21 +95,21 @@ def _augment_keys(sp: EnumeratedSpace, keys: np.ndarray, y_keys: np.ndarray) -> 
 def propose(family: StructureFamily, x, y: StructuredOutput, w,
             cfg: ProposalConfig, rng: np.random.Generator) -> StructuredOutput:
     """One proposal draw: the batch draw of ``build_candidate_sets`` for one
-    sample and one draw, whose key is then the end's index.
+    sample and one draw.
 
     Consumes exactly two uniforms per call (exploration coin, start index);
     ``build_candidate_sets`` relies on this fixed pattern to batch draws.
     """
     sp = space(family)
     xw = (input_bits(family, x) * as_weights(w))[None, :]
-    end = _batch_end_keys(sp, xw, np.array([sp.index(y)]), cfg.alpha, cfg.k, 1, rng)
-    return sp.outputs[int(end[0])]
+    _, ends = _batch_ends(sp, xw, np.array([sp.index(y)]), cfg.alpha, cfg.k, 1, rng)
+    return sp.outputs[int(ends[0])]
 
 
-def _batch_end_keys(sp: EnumeratedSpace, xw, y_idx, alpha: float, k: int,
-                    n_target: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample-major keys sample * size + end for all draws, one per distinct
-    (sample, start) pair; ends may repeat.
+def _batch_ends(sp: EnumeratedSpace, xw, y_idx, alpha: float, k: int,
+                n_target: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The sample and the end of all draws, one per distinct (sample, start)
+    pair, sample-major; ends may repeat.
 
     Draw order is sample-major from the single given generator, so the draws
     reproduce sequential ``propose`` calls (samples outermost) exactly.
@@ -140,7 +122,7 @@ def _batch_end_keys(sp: EnumeratedSpace, xw, y_idx, alpha: float, k: int,
     first[:, 0] = True
     np.not_equal(starts[:, 1:], starts[:, :-1], out=first[:, 1:])
     pair_smp = first.nonzero()[0]
-    return pair_smp * sp.size + _greedy_pairs(sp, xw, pair_smp, starts[first], k)
+    return pair_smp, _greedy_pairs(sp, xw, pair_smp, starts[first], k)
 
 
 def build_candidate_sets(family: StructureFamily, S: Dataset, w,
@@ -154,18 +136,16 @@ def build_candidate_sets(family: StructureFamily, S: Dataset, w,
     """
     if family != S.family:
         raise ValueError(f"dataset of {S.family} given for {family}")
-    sp = space(family)
-    keys = _unique_keys(_batch_end_keys(sp, S.bits * as_weights(w), S.indices, cfg.alpha, cfg.k,
-                                        cfg.n_target, rng))
-    return CandidateSets.from_keys(family, keys, S.m)
+    samples, ends = _batch_ends(space(family), S.bits * as_weights(w), S.indices, cfg.alpha,
+                                cfg.k, cfg.n_target, rng)
+    return CandidateSets.from_entries(family, samples, ends, S.m)
 
 
 def augment(T: Sequence[Sequence[StructuredOutput]], S: Dataset) -> CandidateSets:
     """Force each candidate set to contain its sample's observed structure."""
-    sp = space(S.family)
     sets = as_candidate_sets(T, S.family, S.m)
-    return _augment_keys(sp, sets.samples * sp.size + sets.indices,
-                         np.arange(S.m) * sp.size + S.indices)
+    return CandidateSets.from_entries(S.family, np.concatenate([sets.samples, np.arange(S.m)]),
+                                      np.concatenate([sets.indices, S.indices]), S.m)
 
 
 def proposal_quality_frequency(S: Dataset, w, T: Sequence[Sequence[StructuredOutput]],

@@ -32,7 +32,7 @@ import numpy as np
 from .gumbel_crf import (CandidateSets, _segment_pmfs, as_candidate_sets, as_weights,
                          full_candidate_set, pmf_matrix, scaled_weights)
 from .losses import Dataset, LossKind, LossReport
-from .proposal import _augment_keys, _batch_end_keys, alpha_schedule
+from .proposal import _batch_ends, alpha_schedule
 from .spaces import StructuredOutput, space
 
 
@@ -255,9 +255,10 @@ def _train(S: Dataset, cfg: TrainConfig):
     sets = as_candidate_sets([full_candidate_set(S.family)] * m, S.family, m)
     dist_cols = None if method.is_crf or method.randomized else _distance_columns(sp, y_idx)
     n_target = cfg.resolved_n_target(m)
-    # built once per training: the observed outputs' keys, which each draw's
-    # sets are merged with, and their feature rows (times X for the CRF terms)
-    y_keys = np.arange(m) * sp.size + y_idx
+    # built once per training: the observed outputs' samples, which each
+    # draw's entries are merged with, and their feature rows (times X for the
+    # CRF terms)
+    y_samples = np.arange(m)
     observed = sp.feature_rows(y_idx)
     if method.is_crf:
         observed = observed * X
@@ -272,9 +273,10 @@ def _train(S: Dataset, cfg: TrainConfig):
         # pmf_matrix alone
         xw = None if method is Method.CRF_ALL else X * w
         if method.randomized:
-            sets = _augment_keys(sp, _batch_end_keys(sp, xw, y_idx, alpha_schedule(w, m),
-                                                     cfg.neighborhood_k, n_target, rng),
-                                 y_keys)
+            smp, ends = _batch_ends(sp, xw, y_idx, alpha_schedule(w, m), cfg.neighborhood_k,
+                                    n_target, rng)
+            sets = CandidateSets.from_entries(S.family, np.concatenate([smp, y_samples]),
+                                              np.concatenate([ends, y_idx]), m)
         # sum / m below: the bits of mean() without its Python-level wrapper
         if method.is_crf:
             q, diff = _gain_terms(sp, X, sets, y_idx, w, beta, observed)

@@ -127,8 +127,10 @@ def test_beta_condition():
     # the zero vector has no nonzero entry (w_min = inf) and ||w||_1 = 0
     assert beta_condition(0.0, np.zeros(3), m, r)
     assert not beta_condition(1e-12, np.zeros(3), m, r)
-    with pytest.raises(ValueError):
-        beta_condition(0.1, w, 1, r)
+    # refused wherever (r - 1)(sqrt(m) - 1) does not exceed 1
+    for bad_m, bad_r in ((1, r), (m, 1), (2, 2), (4, 2)):
+        with pytest.raises(ValueError):
+            beta_condition(0.1, w, bad_m, bad_r)
 
 
 def test_sample_size_condition():

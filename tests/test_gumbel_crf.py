@@ -203,6 +203,36 @@ def test_perturbed_argmax_frequencies_match_pmf():
 # containers
 
 
+def test_from_entries_matches_a_sorted_set_of_its_entries():
+    fam = SubsetFamily(3, 6)
+    size = space(fam).size
+    rng = np.random.default_rng(24)
+    for trial in range(200):
+        m = int(rng.integers(1, 7))
+        n = 0 if trial == 0 else int(rng.integers(0, 40))
+        samples = rng.integers(0, m, n)
+        indices = rng.integers(0, size, n)
+        if m >= 3:  # leave the first, a middle and the last sample without entries
+            keep = (samples != 0) & (samples != m // 2) & (samples != m - 1)
+            samples, indices = samples[keep], indices[keep]
+        given = samples.copy(), indices.copy()
+        sets = CandidateSets.from_entries(fam, samples, indices, m)
+        for i in range(m):
+            want = sorted({int(j) for s, j in zip(samples, indices) if s == i})
+            assert sets.indices[sets.offsets[i]:sets.offsets[i + 1]].tolist() == want
+        np.testing.assert_array_equal(sets.samples, np.arange(m).repeat(sets.counts))
+        assert sets.offsets[0] == 0 and sets.offsets[-1] == sets.indices.size
+        # the entries given are left as they were
+        np.testing.assert_array_equal(samples, given[0])
+        np.testing.assert_array_equal(indices, given[1])
+    # no entries at all
+    empty = CandidateSets.from_entries(fam, np.zeros(0, dtype=np.int64),
+                                       np.zeros(0, dtype=np.int64), 3)
+    assert empty.offsets.tolist() == [0, 0, 0, 0] and empty.indices.size == 0
+    assert list(empty) == [(), (), ()]
+    assert as_candidate_sets([(), ()], fam, 2).offsets.tolist() == [0, 0, 0]
+
+
 def test_candidate_set_rejects_duplicates():
     fam = SubsetFamily(3, 6)
     outs = space(fam).outputs
@@ -250,7 +280,8 @@ def test_full_space_candidate_sets_keep_offsets_only():
     assert all(cs is full for cs in sets)
     # the same outputs, but not the space's own tuple, list every index
     for same in ([list(full)] * 4,
-                 CandidateSets.from_keys(fam, np.arange(4 * 20), 4)):
+                 CandidateSets.from_entries(fam, np.arange(4).repeat(20), np.tile(np.arange(20), 4),
+                                            4)):
         listed = as_candidate_sets(same, fam, 4)
         assert not listed.full_space
         np.testing.assert_array_equal(listed.indices, sets.indices)

@@ -281,7 +281,8 @@ def _raw_and_augmented_sets(S, w, rng):
     augmented = [
         [(y,) for y in S.outputs],
         random_augmented_sets(S, rng, max_extra=6),
-        CandidateSets.from_keys(S.family, np.arange(S.m * sp.size), S.m),
+        CandidateSets.from_entries(S.family, np.arange(S.m).repeat(sp.size),
+                                   np.tile(np.arange(sp.size), S.m), S.m),
         [full] * S.m,
     ]
     return raw, augmented

@@ -18,6 +18,7 @@ from randcrf import (CandidateSets, Dataset, DagFamily, Method, ProposalConfig,
                      log_gain, log_gain_gradient, log_likelihood_gradient, randomized_loss,
                      soft_threshold, space, train_crf, train_svm)
 from randcrf import spaces
+from randcrf.gumbel_crf import _segment_pmfs
 
 from oracles import (hamming, hinge_terms_reference, log_likelihood, prob_of, random_instance,
                      score_of)
@@ -104,7 +105,8 @@ def test_gradient_full_space_path_agrees_with_segment_path():
     full = [full_candidate_set(SET36)] * S.m
     # the same outputs, not the space's own tuple: the segment route
     for listed in ([list(full[0])] * S.m,
-                   CandidateSets.from_keys(SET36, np.arange(S.m * space(SET36).size), S.m)):
+                   CandidateSets.from_entries(SET36, np.arange(S.m).repeat(space(SET36).size),
+                                              np.tile(np.arange(space(SET36).size), S.m), S.m)):
         np.testing.assert_allclose(log_gain_gradient(w, S, full, 0.5),
                                    log_gain_gradient(w, S, listed, 0.5), atol=1e-12)
         assert log_gain(w, S, full, 0.5) == pytest.approx(log_gain(w, S, listed, 0.5), abs=1e-12)
@@ -368,16 +370,23 @@ def test_randomized_training_matches_the_public_loop(family, k, method):
     np.testing.assert_array_equal(w, want_w)
     got_rows = [(r.objective, r.grad_inf_norm, r.set_size_mean, r.set_size_max)
                 for r in trace.rows]
-    if method.is_crf:
-        # crf_pmf adds a set's exponentials by numpy's pairwise sum and the
-        # segment path by reduceat, so sets of 8 or more round differently
-        assert [r[0] for r in got_rows] == pytest.approx([r[0] for r in want_rows],
-                                                         rel=1e-13, abs=0)
-        got_rows = [r[1:] for r in got_rows]
-        want_rows = [r[1:] for r in want_rows]
     assert got_rows == want_rows
     np.testing.assert_array_equal(trace.final_candidate_sets.offsets, want_sets.offsets)
     np.testing.assert_array_equal(trace.final_candidate_sets.indices, want_sets.indices)
+
+
+def test_crf_pmf_over_a_trained_set_gives_the_trainers_probabilities():
+    # sets of 8 or more outputs, where numpy's pairwise sum and the segment
+    # path's reduceat would round differently
+    fam, beta = SubsetFamily(4, 15), 0.3
+    S = generate_dataset(fam, generate_ground_truth(fam, 1), 100, 2)
+    w, trace = train_crf(S, TrainConfig(Method.CRF_RAND, iterations=5, seed=3, n_target=40,
+                                        beta=beta))
+    sets = trace.final_candidate_sets
+    assert sets.counts.min() >= 8
+    p, _ = _segment_pmfs(sets, S.indices, S.bits * (w / beta))
+    for i, (lo, hi) in enumerate(zip(sets.offsets[:-1], sets.offsets[1:])):
+        assert np.array_equal(crf_pmf(fam, S.inputs[i], w, sets[i], beta).probs, p[lo:hi])
 
 
 def test_method_entrypoints_are_checked():
