@@ -187,16 +187,15 @@ def perturbed_decode(family: StructureFamily, x, w, gamma,
 def _support_scores(family: StructureFamily, x, w,
                     support: Sequence[StructuredOutput] | None) -> np.ndarray:
     """Scores of the support's outputs in stored order; of all outputs for
-    None or the space's own ``outputs`` sequence.  The full space is scored by
-    ``score_matrix``, a listed support by the candidate-set gather, so each
-    candidate gets the bits the trainers and the restricted losses give it.
-    A repeated output is an error."""
+    None or the space's own ``outputs`` sequence, by ``gather_scores``: the
+    bits that ``score_rows`` gives in a batch of inputs and that the trainers
+    and the restricted losses give.  A repeated output is an error."""
     sp = space(family)
-    bits = input_bits(family, x)[None, :]
-    if support is None or support is sp.outputs:
-        return sp.score_matrix(bits, w)[:, 0]
-    as_candidate_sets([support], family, 1)  # refuses a repeated output
-    return sp.gather_scores(bits * w, 0, sp.indices(support))
+    idx = np.arange(sp.size)
+    if support is not None and support is not sp.outputs:
+        as_candidate_sets([support], family, 1)  # refuses a repeated output
+        idx = sp.indices(support)
+    return sp.gather_scores(input_bits(family, x)[None, :] * w, 0, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,7 @@ def crf_pmf(family: StructureFamily, x, w, support: Sequence[StructuredOutput],
 def pmf_matrix(sp, bit_matrix: np.ndarray, w, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Column-stochastic (size x m) matrix of full-space pmfs for a batch of
     inputs, plus the per-column log-partitions."""
-    scores = sp.score_matrix(bit_matrix, scaled_weights(w, beta))
+    scores = sp.score_rows(bit_matrix * scaled_weights(w, beta))
     shift = scores.max(axis=0)
     e = np.exp(scores - shift)
     z = e.sum(axis=0)

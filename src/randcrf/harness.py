@@ -74,7 +74,7 @@ def generate_dataset(family: StructureFamily, w_star, m: int, seed) -> Dataset:
     rng = np.random.default_rng(seed)
     sp = space(family)
     X = rng.integers(0, 2, size=(m, family.feature_dim), dtype=np.uint8)
-    pred = np.argmax(sp.score_matrix(X.astype(np.float64), as_weights(w_star)), axis=0)
+    pred = np.argmax(sp.score_rows(X.astype(np.float64) * as_weights(w_star)), axis=0)
     return Dataset(family, X, tuple(sp.outputs[i] for i in pred))
 
 

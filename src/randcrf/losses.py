@@ -106,6 +106,5 @@ def loss_gap(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOutput]], beta: fl
 def hamming_loss(w, S: Dataset) -> LossReport:
     """Mean normalized Hamming distance between the MAP decode and the truth."""
     sp = space(S.family)
-    pred = np.argmax(sp.score_matrix(S.bits, as_weights(w)), axis=0)
-    dist = sp.pair_distances(pred, S.indices)
-    return _report(dist / S.family.hamming_normalizer, LossKind.HAMMING)
+    pred = np.argmax(sp.score_rows(S.bits * as_weights(w)), axis=0)
+    return _report(sp.pair_distances(pred, S.indices), LossKind.HAMMING)

@@ -158,7 +158,7 @@ def proposal_quality_frequency(S: Dataset, w, T: Sequence[Sequence[StructuredOut
     """
     sets = as_candidate_sets(T, S.family, S.m)
     wv = as_weights(w)
-    scores = space(S.family).score_matrix(S.bits, wv)
+    scores = space(S.family).score_rows(S.bits * wv)
     y_idx = S.indices
     smp, cand, cols = sets.samples, sets.indices, np.arange(S.m)
     with np.errstate(invalid="ignore"):  # an empty set has no mean score and fails

@@ -405,10 +405,10 @@ class EnumeratedSpace:
     ``outputs`` makes each ``StructuredOutput`` on first access, ``masks``
     packs each row's components into bits (``indices`` looks structures up
     in them), and ``feature_indices`` lists each row's features.  Only the
-    space's own methods read that layout: ``gather_scores``,
-    ``score_matrix`` and ``score_rows`` score outputs, ``feature_rows``
-    builds their 0/1 rows (``incidence`` holds all of them), and
-    ``feature_sums`` and ``feature_sums_full`` add weighted rows up.
+    space's own methods read that layout: ``gather_scores`` and ``score_rows``
+    score outputs, ``feature_rows`` builds their 0/1 rows (``incidence``
+    holds all of them), and ``feature_sums`` and ``feature_sums_full`` add
+    weighted rows up.
     """
 
     def __init__(self, family: StructureFamily, components: np.ndarray):
@@ -504,26 +504,26 @@ class EnumeratedSpace:
                 f"{comps[position]} is not a valid structure of {self.family}", position)
         return found
 
-    def score_matrix(self, bit_matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """(size x m) scores for a batch of inputs given as an (m x d) bit matrix."""
-        return self.score_rows(bit_matrix * w)
-
     def score_rows(self, xw: np.ndarray) -> np.ndarray:
         """(size x n) scores of every output under each row of the (n x d)
-        input*weight matrix ``xw``: one BLAS product."""
+        input*weight matrix ``xw``: one BLAS product, whose bits matched the
+        gather's with two or more rows but not always with one."""
         return self.incidence @ xw.T
 
     def gather_scores(self, xw: np.ndarray, rows, idx: np.ndarray) -> np.ndarray:
         """Score of output ``idx[e]`` under row ``rows[e]`` of the (n x d)
-        input*weight matrix ``xw``, for every entry e: that row's entries
-        at the output's active features, gathered for the pair alone.
-        numpy adds across the rows of a C-ordered array one row at a time,
-        so each sum runs in ascending feature order, whatever the BLAS (but
-        a lone pair from a table 8 or more wide is added pairwise)."""
+        input*weight matrix ``xw``, for every entry e: that row's entries at
+        the output's active features, added one slot at a time in ascending
+        feature order whatever the BLAS and the number of entries
+        (``np.add.reduce`` would add a lone entry's slots pairwise)."""
         padded = np.concatenate([xw, np.zeros((xw.shape[0], 1))], axis=1)
         positions = self.feature_indices.take(idx, axis=1)
         positions += rows * padded.shape[1]
-        return np.add.reduce(padded.ravel().take(positions), axis=0)
+        slots = padded.ravel().take(positions)
+        scores = slots[0].copy()
+        for slot in slots[1:]:
+            scores += slot
+        return scores
 
     def feature_sums(self, weights: np.ndarray, rows, idx: np.ndarray, m: int) -> np.ndarray:
         """(m x d) sums: row i adds ``weights[e] * incidence[idx[e]]`` over
@@ -553,8 +553,9 @@ class EnumeratedSpace:
         return rows[:, :-1]
 
     def pair_distances(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Elementwise symmetric-difference sizes between two index arrays."""
-        return np.bitwise_count(self.masks[left] ^ self.masks[right]).sum(axis=-1).astype(np.int64)
+        """Elementwise normalized Hamming distances between two index arrays."""
+        return (np.bitwise_count(self.masks[left] ^ self.masks[right]).sum(axis=-1)
+                / self.family.hamming_normalizer)
 
 
 _SPACE_CACHE: dict[StructureFamily, EnumeratedSpace] = {}

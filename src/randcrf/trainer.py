@@ -182,7 +182,7 @@ def log_likelihood_gradient(w, S: Dataset, Tbar: Sequence[Sequence[StructuredOut
 
 
 def _distance_columns(sp, y_idx):
-    return sp.pair_distances(np.arange(sp.size)[:, None], y_idx) / sp.family.hamming_normalizer
+    return sp.pair_distances(np.arange(sp.size)[:, None], y_idx)
 
 
 def _hinge_terms(sp, X, sets: CandidateSets, y_idx, xw, observed, dist_cols=None):
@@ -202,7 +202,7 @@ def _hinge_terms(sp, X, sets: CandidateSets, y_idx, xw, observed, dist_cols=None
         y_flat = sets.observed_positions(y_idx)
         smp, cand = sets.samples, sets.indices
         s = sp.gather_scores(xw, smp, cand)
-        aug = s + sp.pair_distances(cand, y_idx[smp]) / sp.family.hamming_normalizer
+        aug = s + sp.pair_distances(cand, y_idx[smp])
         starts = sets.offsets[:-1]
         seg_max = np.maximum.reduceat(aug, starts)
         # ties break toward the earliest in canonical order: first position in segment

@@ -392,8 +392,7 @@ def monte_carlo_loss(w, S, beta, draws, seed):
         raise ValueError("draws must be >= 1")
     sp = space(S.family)
     y_idx = np.array([sp.index(y) for y in S.outputs])
-    scores = sp.score_matrix(np.asarray(S.inputs, dtype=np.float64),
-                             np.asarray(w, dtype=np.float64))
+    scores = sp.score_rows(np.asarray(S.inputs, dtype=np.float64) * np.asarray(w, dtype=np.float64))
     rng = np.random.default_rng(seed)
     chunk = max(1, 8_000_000 // sp.size)
     per = np.empty(S.m)

@@ -105,7 +105,7 @@ def test_criterion_3_monte_carlo_matches_pmf():
         x = rng.integers(0, 2, size=fam.feature_dim)
         w = rng.normal(0.0, 0.7, size=fam.feature_dim)
         beta = 1.0
-        scores = sp.score_matrix(x[None, :], w)[:, 0]
+        scores = sp.score_rows(x[None, :] * w)[:, 0]
         gen = np.random.default_rng(1000 + trial)
         counts = np.zeros(sp.size, dtype=np.int64)
         done = 0

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from randcrf import (CandidateSets, Dataset, SpanningTreeFamily, SubsetFamily, as_candidate_sets,
-                     augment, crf_pmf, full_candidate_set, gumbel_from_uniform, map_decode,
-                     perturbed_decode, space)
-from randcrf.gumbel_crf import pmf_matrix
+from randcrf import (CandidateSets, Dataset, DagFamily, Method, SpanningTreeFamily, SubsetFamily,
+                     TrainConfig, as_candidate_sets, augment, crf_pmf, full_candidate_set,
+                     generate_dataset, generate_ground_truth, gumbel_from_uniform, map_decode,
+                     perturbed_decode, space, train_crf)
+from randcrf.gumbel_crf import _support_scores, pmf_matrix
 
 from oracles import exhaustive_map_decode, prob_of, random_instance
 
@@ -157,8 +158,25 @@ def test_restricted_pmf_on_full_support_matches_unrestricted():
     as_sampled = list(full)
     a = crf_pmf(fam, X[0], w, full, 0.5)
     b = crf_pmf(fam, X[0], w, as_sampled, 0.5)
-    np.testing.assert_allclose(a.probs, b.probs, atol=1e-15)
+    # both supports take the same gather and the same normalizing sum
+    np.testing.assert_array_equal(a.probs, b.probs)
+    assert a.log_partition == b.log_partition
     assert a.support == b.support == full
+
+
+@pytest.mark.parametrize("family", [SubsetFamily(4, 15), DagFamily(5, 1), SpanningTreeFamily(6)],
+                         ids=repr)
+def test_single_input_scores_match_the_batch_product(family):
+    # a one-row BLAS product rounds unlike a product of many rows; the
+    # gather that scores one input gives every output the batch's bits
+    rng = np.random.default_rng(25)
+    S = generate_dataset(family, generate_ground_truth(family, rng), 100, rng)
+    w, _ = train_crf(S, TrainConfig(Method.CRF_ALL, iterations=20))
+    sp = space(family)
+    batch = sp.score_rows(S.bits * w)
+    for i in range(S.m):
+        np.testing.assert_array_equal(_support_scores(family, S.bits[i], w, None), batch[:, i])
+        assert map_decode(family, S.bits[i], w) == sp.outputs[int(np.argmax(batch[:, i]))]
 
 
 def test_additive_score_shift_cancels():
@@ -191,7 +209,7 @@ def test_perturbed_argmax_frequencies_match_pmf():
     w = rng.normal(0.0, 0.8, size=fam.feature_dim)
     beta = 1.0
     sp = space(fam)
-    scores = sp.score_matrix(x[None, :], w)[:, 0]
+    scores = sp.score_rows(x[None, :] * w)[:, 0]
     draws = 200_000
     gamma = gumbel_from_uniform(np.random.default_rng(12).random((draws, sp.size)), beta)
     counts = np.bincount(np.argmax(scores + gamma, axis=1), minlength=sp.size)

@@ -82,10 +82,10 @@ def test_every_export_is_used_or_kept():
 
 
 def test_only_spaces_reads_the_feature_layout():
-    # the padded feature table and the packed masks have one owner: every
-    # other module scores, sums, builds feature rows and measures distances
-    # through the space's methods
-    layout = {"feature_indices", "incidence", "masks"}
+    # the padded feature table, the packed masks and the distance's
+    # normalizer have one owner: every other module scores, sums, builds
+    # feature rows and measures normalized distances through the space's methods
+    layout = {"feature_indices", "incidence", "masks", "hamming_normalizer"}
     readers = {path.name: sorted(layout & _names_used([path]))
                for path in (SRC / "randcrf").glob("*.py") if path.name != "spaces.py"}
     assert {name: read for name, read in readers.items() if read} == {}

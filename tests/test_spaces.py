@@ -257,11 +257,11 @@ def test_hamming_rejects_mixed_families():
                          ids=repr)
 def test_pair_distances_match_component_distance(family):
     # the packed-mask distances behind hamming_loss and the hinge terms,
-    # against set differences of the component tuples
+    # against normalized set differences of the component tuples
     sp = space(family)
     idx = np.arange(sp.size)
     got = sp.pair_distances(idx[:, None], idx[None, :])
-    want = [[component_distance(a, b) for b in sp.outputs] for a in sp.outputs]
+    want = [[hamming(a, b) for b in sp.outputs] for a in sp.outputs]
     np.testing.assert_array_equal(got, want)
 
 
@@ -479,6 +479,21 @@ def test_feature_layout_methods_match_per_pair_loops(family):
         sp.feature_sums_full(probs),
         feature_sums_reference(incidence, probs.T.ravel(), np.arange(m).repeat(sp.size),
                                np.tile(np.arange(sp.size), m), m), rtol=1e-12)
+
+
+def test_a_lone_gather_adds_in_ascending_feature_order():
+    # set:5,9 outputs fire 10 features: numpy's reduce would add a lone
+    # output's 10 slots pairwise, 8 accumulators at a time
+    fam = SubsetFamily(5, 9)
+    sp = space(fam)
+    assert sp.feature_indices.shape[0] == 10
+    xw = np.random.default_rng(59).normal(size=(1, fam.feature_dim))
+    idx = np.arange(sp.size)
+    incidence = incidence_reference(fam, tuple_space(fam).outputs)
+    in_order = gather_scores_reference(incidence, xw, np.zeros_like(idx), idx)
+    np.testing.assert_array_equal(sp.gather_scores(xw, 0, idx), in_order)
+    lone = [sp.gather_scores(xw, 0, idx[y:y + 1])[0] for y in idx]
+    np.testing.assert_array_equal(lone, in_order)
 
 
 # ---------------------------------------------------------------------------
