@@ -20,8 +20,8 @@ from .losses import (Dataset, LossKind, LossReport, exact_crf_loss, hamming_loss
 from .proposal import (ProposalConfig, alpha_schedule, augment, build_candidate_sets,
                        propose, proposal_quality_frequency)
 from .spaces import (DagFamily, EnumeratedSpace, FamilyTooLargeError, SpanningTreeFamily,
-                     StructuredOutput, SubsetFamily, feature_map, make_input,
-                     ordered_pair_index, space, unordered_pair_index)
+                     StructuredOutput, SubsetFamily, feature_map, ordered_pair_index,
+                     space, unordered_pair_index)
 from .trainer import (Method, TrainConfig, TrainTrace, beta_schedule, hinge_loss, log_gain,
                       log_gain_gradient, log_likelihood_gradient, soft_threshold, train_crf,
                       train_svm)

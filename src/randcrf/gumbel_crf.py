@@ -229,10 +229,9 @@ def crf_pmf(family: StructureFamily, x, w, support: Sequence[StructuredOutput],
     if len(support) == 0:
         raise ValueError("support must be nonempty")
     scores = _support_scores(family, x, w_eff, support)
-    shift = scores.max()
-    e = np.exp(scores - shift)
-    z = np.add.reduceat(e, [0])[0]  # the sum of _segment_pmfs, whose bits the trainers give
-    return CrfDistribution(tuple(support), e / z, float(shift + np.log(z)), beta)
+    probs, log_partition = _segment_softmax(scores, np.zeros(1, dtype=np.intp),
+                                            np.zeros(scores.size, dtype=np.intp))
+    return CrfDistribution(tuple(support), probs, float(log_partition[0]), beta)
 
 
 def pmf_matrix(sp, bit_matrix: np.ndarray, w, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -249,6 +248,18 @@ def pmf_matrix(sp, bit_matrix: np.ndarray, w, beta: float) -> tuple[np.ndarray, 
 # restricted CRF distributions over flat candidate segments
 
 
+def _segment_softmax(s: np.ndarray, starts: np.ndarray, segment: np.ndarray):
+    """Softmax of the flat scores ``s`` within each segment, and each
+    segment's log-partition.  Segment j starts at ``starts[j]`` and runs to
+    the next start; ``segment`` is the segment of each entry.  The one
+    normalizer of the restricted pmfs: a segment's bits do not depend on
+    the segments beside it."""
+    shift = np.maximum.reduceat(s, starts)
+    e = np.exp(s - shift[segment])
+    z = np.add.reduceat(e, starts)
+    return e / z[segment], shift + np.log(z)
+
+
 def _segment_pmfs(sets: CandidateSets, y_idx: np.ndarray, xw: np.ndarray):
     """Restricted CRF pmfs of all flat candidates (each sample's softmax of
     its row of X * (w / beta) over its own set) and the flat positions of the
@@ -256,8 +267,4 @@ def _segment_pmfs(sets: CandidateSets, y_idx: np.ndarray, xw: np.ndarray):
     y_flat = sets.observed_positions(y_idx)
     smp = sets.samples
     s = space(sets.family).gather_scores(xw, smp, sets.indices)
-    starts = sets.offsets[:-1]
-    shift = np.maximum.reduceat(s, starts)
-    e = np.exp(s - shift[smp])
-    z = np.add.reduceat(e, starts)
-    return e / z[smp], y_flat
+    return _segment_softmax(s, sets.offsets[:-1], smp)[0], y_flat

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import losses
 from .gumbel_crf import as_weights, full_candidate_set
 from .losses import Dataset, exact_crf_loss, hamming_loss
 from .spaces import (DagFamily, InvalidStructureError, SpanningTreeFamily, StructureFamily,
@@ -191,13 +192,9 @@ def run_repetition(cfg: ExperimentConfig, repetition: int) -> list[MetricsRecord
             # method's is taken over its final candidate sets
             sets = trace.final_candidate_sets
             if method.is_crf:
-                # imported here, not at module level: perfbench/measure.py times
-                # this loss by rebinding randcrf.losses.randomized_loss, which a
-                # name bound at import time would bypass
-                from .losses import randomized_loss
                 train_loss_exact = exact_crf_loss(w_hat, S_train, beta).value
                 train_loss = (train_loss_exact if sets is None
-                              else randomized_loss(w_hat, S_train, sets, beta).value)
+                              else losses.randomized_loss(w_hat, S_train, sets, beta).value)
             else:
                 train_loss_exact = hinge_loss(w_hat, S_train, full_sets).value
                 train_loss = (train_loss_exact if sets is None

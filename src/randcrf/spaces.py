@@ -329,17 +329,6 @@ class StructuredOutput:
             raise ValueError(f"{comps} is not a valid structure of {self.family}")
 
 
-def make_input(family: StructureFamily, bits) -> np.ndarray:
-    """An observed input: a uint8 0/1 vector over the family's candidate-pair
-    coordinates."""
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.shape != (family.feature_dim,):
-        raise ValueError(f"expected {family.feature_dim} bits, got shape {arr.shape}")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("input bits must be 0/1")
-    return arr
-
-
 def input_bits(family: StructureFamily, x) -> np.ndarray:
     """Coerce a 0/1 vector to a float array of length d."""
     arr = np.asarray(x, dtype=np.float64)

@@ -10,17 +10,19 @@ restricted-loss, hinge and augmentation references at the end: they are the
 per-sample loops that the library's segment reductions replaced, and they
 index and score through the enumerated space; so does the Monte-Carlo
 estimate of the exact loss, which decodes fresh Gumbel draws instead of
-using the closed form.
+using the closed form.  The random datasets, candidate sets and CSV reader
+that several test modules share live here too.
 """
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from randcrf import (DagFamily, LossKind, LossReport, SpanningTreeFamily, StructuredOutput,
-                     SubsetFamily, feature_map, gumbel_from_uniform, space)
+from randcrf import (DagFamily, Dataset, LossKind, LossReport, SpanningTreeFamily,
+                     StructuredOutput, SubsetFamily, feature_map, gumbel_from_uniform, space)
 from randcrf.gumbel_crf import pmf_matrix
 from randcrf.spaces import unordered_pair_index
 
@@ -174,6 +176,36 @@ def random_instance(family, rng, m=4, w_scale=1.0, integer_weights=False):
 
 
 # ---------------------------------------------------------------------------
+# builders the test modules share
+
+
+def make_dataset(family, rng, m):
+    """A ``random_instance`` of m samples as a Dataset, with its weights."""
+    X, ys, w = random_instance(family, rng, m=m)
+    return Dataset(family, X, ys), w
+
+
+def random_augmented_sets(S, rng, max_extra=5):
+    """Per-sample candidate sets: the observed output plus up to
+    ``max_extra`` distinct outputs drawn uniformly, in canonical order."""
+    sp = space(S.family)
+    sets = []
+    for y in S.outputs:
+        extras = rng.choice(sp.size, size=int(rng.integers(0, max_extra + 1)), replace=False)
+        idx = sorted({int(e) for e in extras} | {sp.index(y)})
+        sets.append(tuple(sp.outputs[i] for i in idx))
+    return sets
+
+
+def strip_timing(path):
+    """A metrics CSV's text without its ``train_seconds`` column."""
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    drop = [i for i, name in enumerate(rows[0]) if name == "train_seconds"]
+    return "\n".join(",".join(c for i, c in enumerate(row) if i not in drop) for row in rows)
+
+
+# ---------------------------------------------------------------------------
 # the tuple-based construction of an enumerated space and its tables
 
 
@@ -312,7 +344,16 @@ def neighbor_csr_references(masks, radii):
 
 
 # ---------------------------------------------------------------------------
-# per-sample restricted losses and augmentation
+# per-sample restricted softmax, losses and augmentation
+
+
+def segment_softmax_reference(scores):
+    """Softmax of one segment's scores and its log-partition, entry by entry
+    in float64, the normalizer summed exactly by ``math.fsum``."""
+    shift = max(scores)
+    e = [math.exp(v - shift) for v in scores]
+    z = math.fsum(e)
+    return np.array([v / z for v in e]), shift + math.log(z)
 
 
 def _restricted_observed_prob(sp, x, w_eff, cs, y):

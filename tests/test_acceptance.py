@@ -2,7 +2,6 @@
 with its measured numbers.  The comparison experiment (criterion 7) runs the
 full protocol once as a module fixture and is reused by criterion checks."""
 
-import csv
 import math
 import time
 
@@ -17,31 +16,15 @@ from randcrf import (DagFamily, ExperimentConfig, SpanningTreeFamily, SubsetFami
                      loss_gap, propose, randomized_loss, run_experiment, space,
                      statistical_error)
 from randcrf import cli
-from randcrf.losses import Dataset
 from randcrf.proposal import ProposalConfig
 
-from oracles import random_instance
+from oracles import make_dataset, random_augmented_sets, strip_timing
 
 mpmath.mp.dps = 50
 
 
 def report(name, detail):
     print(f"\nACCEPTANCE PASS {name}: {detail}")
-
-
-def make_dataset(family, rng, m):
-    X, ys, _ = random_instance(family, rng, m=m)
-    return Dataset(family, X, ys)
-
-
-def random_augmented_sets(S, rng, max_extra=5):
-    sp = space(S.family)
-    sets = []
-    for y in S.outputs:
-        extras = rng.choice(sp.size, size=int(rng.integers(0, max_extra + 1)), replace=False)
-        idx = sorted({int(e) for e in extras} | {sp.index(y)})
-        sets.append(tuple(sp.outputs[i] for i in idx))
-    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +37,7 @@ def test_criterion_1_loss_gap_identity():
     tic = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        S = make_dataset(fam, rng, m=int(rng.integers(2, 7)))
+        S, _ = make_dataset(fam, rng, m=int(rng.integers(2, 7)))
         sets = random_augmented_sets(S, rng)
         w = rng.normal(0.0, float(rng.uniform(0.2, 2.0)), size=fam.feature_dim)
         beta = float(rng.uniform(0.2, 3.0))
@@ -78,7 +61,7 @@ def test_criterion_2_full_support_equality():
     full = [full_candidate_set(fam)]
     worst = 0.0
     for _ in range(50):
-        S = make_dataset(fam, rng, m=int(rng.integers(1, 6)))
+        S, _ = make_dataset(fam, rng, m=int(rng.integers(1, 6)))
         w = rng.normal(0.0, 1.0, size=fam.feature_dim)
         beta = float(rng.uniform(0.2, 3.0))
         a = randomized_loss(w, S, full * S.m, beta).value
@@ -141,7 +124,7 @@ def test_criterion_4_gradient_finite_differences():
     tic = time.perf_counter()
     worst = 0.0
     for _ in range(20):
-        S = make_dataset(fam, rng, m=int(rng.integers(2, 6)))
+        S, _ = make_dataset(fam, rng, m=int(rng.integers(2, 6)))
         sets = random_augmented_sets(S, rng)
         beta = float(rng.uniform(0.4, 2.0))
         w = rng.normal(0.0, 0.8, size=fam.feature_dim)
@@ -328,7 +311,7 @@ def test_criterion_8_support_monotonicity():
     sp = space(fam)
     violations = 0
     for _ in range(100):
-        S = make_dataset(fam, rng, m=4)
+        S, _ = make_dataset(fam, rng, m=4)
         w = rng.normal(0.0, 1.0, size=fam.feature_dim)
         beta = float(rng.uniform(0.3, 2.0))
         small = random_augmented_sets(S, rng, max_extra=3)
@@ -348,20 +331,13 @@ def test_criterion_8_support_monotonicity():
 # 9. byte-level determinism of the reproduction command
 
 
-def strip_timing_columns(path):
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    drop = [i for i, name in enumerate(rows[0]) if name == "train_seconds"]
-    return "\n".join(",".join(c for i, c in enumerate(row) if i not in drop) for row in rows)
-
-
 def test_criterion_9_reproduce_determinism(tmp_path):
     args = ["reproduce", "--families", "set:3,8", "--reps", "3", "--m-train", "25",
             "--m-test", "25", "--iterations", "5", "--seed", "123"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(args + ["--out", str(a)]) == 0
     assert cli.main(args + ["--out", str(b)]) == 0
-    sa, sb = strip_timing_columns(a), strip_timing_columns(b)
+    sa, sb = strip_timing(a), strip_timing(b)
     assert sa == sb
     report("9 reproduce determinism", f"{len(sa.splitlines()) - 1} records byte-identical "
                                       "across two runs (timing columns excluded)")

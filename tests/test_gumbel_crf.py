@@ -8,9 +8,9 @@ from randcrf import (CandidateSets, Dataset, DagFamily, Method, SpanningTreeFami
                      TrainConfig, as_candidate_sets, augment, crf_pmf, full_candidate_set,
                      generate_dataset, generate_ground_truth, gumbel_from_uniform, map_decode,
                      perturbed_decode, space, train_crf)
-from randcrf.gumbel_crf import _support_scores, pmf_matrix
+from randcrf.gumbel_crf import _segment_softmax, _support_scores, pmf_matrix
 
-from oracles import exhaustive_map_decode, prob_of, random_instance
+from oracles import exhaustive_map_decode, prob_of, random_instance, segment_softmax_reference
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -162,6 +162,33 @@ def test_restricted_pmf_on_full_support_matches_unrestricted():
     np.testing.assert_array_equal(a.probs, b.probs)
     assert a.log_partition == b.log_partition
     assert a.support == b.support == full
+
+
+def test_segment_softmax_normalizes_each_segment_alone():
+    # random layouts of 1-50 entries per segment, with tied scores and
+    # entries up to 700 below their segment's maximum: a segment's bits must
+    # not depend on its neighbors, and must match a per-segment reference
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        lengths = rng.integers(1, 51, size=int(rng.integers(1, 12)))
+        parts = []
+        for n in lengths:
+            s = rng.normal(0.0, 3.0, size=n) + rng.normal(0.0, 100.0)
+            if rng.random() < 0.5:
+                s = np.round(s)  # ties
+            s[rng.random(n) < 0.2] -= rng.uniform(30.0, 700.0)
+            parts.append(s)
+        flat = np.concatenate(parts)
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        probs, log_partition = _segment_softmax(flat, starts, np.arange(lengths.size).repeat(lengths))
+        for j, (lo, s) in enumerate(zip(starts, parts)):
+            alone, alone_lp = _segment_softmax(s, np.zeros(1, dtype=np.intp),
+                                               np.zeros(s.size, dtype=np.intp))
+            np.testing.assert_array_equal(probs[lo:lo + s.size], alone)
+            assert log_partition[j] == alone_lp[0]
+            want, want_lp = segment_softmax_reference(s.tolist())
+            np.testing.assert_allclose(alone, want, rtol=1e-13, atol=0)
+            assert alone_lp[0] == pytest.approx(want_lp, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("family", [SubsetFamily(4, 15), DagFamily(5, 1), SpanningTreeFamily(6)],

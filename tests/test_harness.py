@@ -16,7 +16,7 @@ from randcrf import (DagFamily, ExperimentConfig, FamilyTooLargeError, Method,
 from randcrf.harness import METRIC_COLUMNS, METRICS_CSV_HEADER, MetricsRecord, write_csv
 from randcrf import cli
 
-from oracles import exhaustive_map_decode
+from oracles import exhaustive_map_decode, strip_timing
 
 SET36 = SubsetFamily(3, 6)
 
@@ -523,13 +523,6 @@ def test_cli_rejects_negative_seeds(tmp_path, capsys, command):
     assert cli.main(command + ["--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", "randcrf: --seed must be >= 0, got -1\n")
     assert not out.exists()
-
-
-def strip_timing(path):
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    drop = [i for i, name in enumerate(rows[0]) if name == "train_seconds"]
-    return "\n".join(",".join(c for i, c in enumerate(row) if i not in drop) for row in rows)
 
 
 def test_cli_reproduce_is_deterministic(tmp_path):

@@ -22,7 +22,7 @@ KEEP = {
     # the paper's decoders, proposal, noise transform, feature map and
     # gain, which the acceptance suite checks against their definitions
     "crf_pmf", "perturbed_decode", "map_decode", "propose", "gumbel_from_uniform",
-    "feature_map", "log_gain", "log_gain_gradient", "make_input",
+    "feature_map", "log_gain", "log_gain_gradient",
     # the paper's diagnostics, which a run log is to report
     "proposal_quality_frequency", "beta_condition", "sample_size_condition",
     # the layout of the feature grid that inputs and weights are indexed by

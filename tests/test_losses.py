@@ -10,25 +10,10 @@ from randcrf.gumbel_crf import pmf_matrix
 from randcrf.spaces import EnumeratedSpace, StructuredOutput
 
 from oracles import (augment_reference, exhaustive_map_decode, hamming, loss_gap_reference,
-                     monte_carlo_loss, prob_of, random_instance, randomized_loss_reference)
+                     make_dataset, monte_carlo_loss, prob_of, random_augmented_sets,
+                     random_instance, randomized_loss_reference)
 
 SET36 = SubsetFamily(3, 6)  # r = 20
-
-
-def make_dataset(family, rng, m=5):
-    X, ys, w = random_instance(family, rng, m=m)
-    return Dataset(family, X, ys), w
-
-
-def random_augmented_sets(S, rng, max_extra=4):
-    """Per-sample candidate sets containing the observed output plus extras."""
-    sp = space(S.family)
-    sets = []
-    for y in S.outputs:
-        extras = rng.choice(sp.size, size=rng.integers(0, max_extra + 1), replace=False)
-        idx = sorted(set(int(e) for e in extras) | {sp.index(y)})
-        sets.append(tuple(sp.outputs[i] for i in idx))
-    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +22,7 @@ def random_augmented_sets(S, rng, max_extra=4):
 
 def test_exact_loss_uniform_weights():
     rng = np.random.default_rng(0)
-    S, _ = make_dataset(SET36, rng)
+    S, _ = make_dataset(SET36, rng, m=5)
     rep = exact_crf_loss(np.zeros(SET36.feature_dim), S, 1.0)
     np.testing.assert_allclose(rep.per_sample, 1.0 - 1.0 / 20)
     assert rep.value == pytest.approx(1.0 - 1.0 / 20)
@@ -101,7 +86,7 @@ def test_dataset_resolves_its_outputs_once(monkeypatch):
 
 def test_randomized_loss_singleton_support_is_zero():
     rng = np.random.default_rng(5)
-    S, w = make_dataset(SET36, rng)
+    S, w = make_dataset(SET36, rng, m=5)
     sets = [(y,) for y in S.outputs]
     rep = randomized_loss(w, S, sets, 1.0)
     np.testing.assert_allclose(rep.per_sample, 0.0)
@@ -120,7 +105,7 @@ def test_randomized_loss_on_full_space_equals_exact(monkeypatch):
     segment_pmfs = losses._segment_pmfs
     monkeypatch.setattr(losses, "_segment_pmfs", counted)
     rng = np.random.default_rng(6)
-    S, w = make_dataset(SET36, rng)
+    S, w = make_dataset(SET36, rng, m=5)
     full = [full_candidate_set(SET36)] * S.m
     for beta in (0.1, 1.0, 5.0):
         a = randomized_loss(w, S, full, beta)
@@ -133,8 +118,8 @@ def test_randomized_loss_on_full_space_equals_exact(monkeypatch):
 def test_randomized_loss_never_exceeds_exact():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        S, w = make_dataset(SET36, rng)
-        sets = random_augmented_sets(S, rng)
+        S, w = make_dataset(SET36, rng, m=5)
+        sets = random_augmented_sets(S, rng, max_extra=4)
         assert (randomized_loss(w, S, sets, 1.0).per_sample
                 <= exact_crf_loss(w, S, 1.0).per_sample + 1e-12).all()
 
@@ -174,7 +159,7 @@ def test_every_function_of_a_scale_refuses_a_bad_one(entry):
     fn = SCALE_ENTRY_POINTS[entry]
     rng = np.random.default_rng(21)
     S, w = make_dataset(SET36, rng, m=3)
-    sets = random_augmented_sets(S, rng)
+    sets = random_augmented_sets(S, rng, max_extra=4)
     zero = np.zeros(SET36.feature_dim)
     for beta in (np.inf, -np.inf, np.nan, 0.0, -1.0, 1e-320):
         for weights in (w, zero):
@@ -198,7 +183,7 @@ def test_every_function_of_a_scale_refuses_a_bad_one(entry):
 
 def test_gap_is_zero_on_full_support():
     rng = np.random.default_rng(9)
-    S, w = make_dataset(SET36, rng)
+    S, w = make_dataset(SET36, rng, m=5)
     assert loss_gap(w, S, [full_candidate_set(SET36)] * S.m, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -214,8 +199,8 @@ def test_gap_singleton_uniform_closed_form():
 def test_gap_equals_loss_difference():
     rng = np.random.default_rng(11)
     for _ in range(30):
-        S, w = make_dataset(SET36, rng)
-        sets = random_augmented_sets(S, rng)
+        S, w = make_dataset(SET36, rng, m=5)
+        sets = random_augmented_sets(S, rng, max_extra=4)
         beta = float(rng.uniform(0.2, 3.0))
         gap = loss_gap(w, S, sets, beta)
         diff = randomized_loss(w, S, sets, beta).value - exact_crf_loss(w, S, beta).value
@@ -391,8 +376,8 @@ def test_hamming_loss_matches_brute_force(family):
 def test_probabilistic_losses_live_in_unit_interval():
     rng = np.random.default_rng(17)
     for _ in range(10):
-        S, w = make_dataset(SET36, rng)
-        sets = random_augmented_sets(S, rng)
+        S, w = make_dataset(SET36, rng, m=5)
+        sets = random_augmented_sets(S, rng, max_extra=4)
         for rep in (exact_crf_loss(w, S, 0.5), randomized_loss(w, S, sets, 0.5),
                     hamming_loss(w, S)):
             assert (0.0 <= rep.per_sample).all() and (rep.per_sample <= 1.0).all()

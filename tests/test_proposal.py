@@ -9,15 +9,10 @@ from randcrf import (Dataset, DagFamily, SpanningTreeFamily, SubsetFamily, alpha
                      proposal_quality_frequency, space)
 from randcrf.proposal import ProposalConfig
 
-from oracles import brute_force_tree_components, neighbors_k, propose_reference, random_instance
+from oracles import brute_force_tree_components, make_dataset, neighbors_k, propose_reference
 
 SET14 = SubsetFamily(1, 4)  # featureless: every score is zero
 SET36 = SubsetFamily(3, 6)
-
-
-def make_dataset(family, rng, m=6):
-    X, ys, _ = random_instance(family, rng, m=m)
-    return Dataset(family, X, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +106,7 @@ def test_exploration_distribution_matches_exhaustive_simulation(k, draws):
 
 def test_single_draw_sets_are_singletons():
     rng = np.random.default_rng(4)
-    S = make_dataset(SET36, rng)
+    S, _ = make_dataset(SET36, rng, m=6)
     sets = build_candidate_sets(SET36, S, np.zeros(SET36.feature_dim),
                                 ProposalConfig(alpha=1.0, k=2, n_target=1),
                                 np.random.default_rng(5))
@@ -121,7 +116,7 @@ def test_single_draw_sets_are_singletons():
 def test_deterministic_proposals_collapse_after_dedup():
     # alpha = 0 makes every draw identical, so n_target does not matter
     rng = np.random.default_rng(6)
-    S = make_dataset(SET36, rng)
+    S, _ = make_dataset(SET36, rng, m=6)
     w = rng.normal(size=SET36.feature_dim)
     sets = build_candidate_sets(SET36, S, w, ProposalConfig(alpha=0.0, k=2, n_target=7),
                                 np.random.default_rng(7))
@@ -130,7 +125,7 @@ def test_deterministic_proposals_collapse_after_dedup():
 
 def test_set_sizes_bounded_by_sqrt_m():
     rng = np.random.default_rng(8)
-    S = make_dataset(SET36, rng, m=100)
+    S, _ = make_dataset(SET36, rng, m=100)
     sets = build_candidate_sets(SET36, S, rng.normal(size=SET36.feature_dim),
                                 ProposalConfig(alpha=1.0, k=2, n_target=10),
                                 np.random.default_rng(9))
@@ -154,7 +149,7 @@ def assert_build_equals_draws(family, S, w, cfg, draw):
 @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
 def test_build_equals_sequential_propose_invocations(alpha):
     rng = np.random.default_rng(10)
-    S = make_dataset(SET36, rng, m=8)
+    S, _ = make_dataset(SET36, rng, m=8)
     w = rng.integers(-3, 4, size=SET36.feature_dim).astype(np.float64)
     cfg = ProposalConfig(alpha=alpha, k=2, n_target=5)
     assert_build_equals_draws(SET36, S, w, cfg, propose)
@@ -170,7 +165,7 @@ def test_build_equals_sequential_propose_invocations(alpha):
     # start, and on DAGs at the protocol radius 2
     for family, k in ((DagFamily(5, 2), 4), (SubsetFamily(4, 15), 2), (SubsetFamily(2, 5), 1),
                       (DagFamily(5, 1), 2), (DagFamily(5, 2), 2)):
-        S = make_dataset(family, rng, m=6)
+        S, _ = make_dataset(family, rng, m=6)
         w = rng.normal(size=family.feature_dim)
         sets = assert_build_equals_draws(family, S, w, ProposalConfig(alpha=alpha, k=k, n_target=3),
                                          propose_reference)
@@ -209,7 +204,7 @@ def test_pass_keeps_starts_without_neighbors():
 def test_build_refuses_another_family_before_drawing():
     # S's positions read in another space are other outputs: set:2,6 would
     # return (0, 1) for an observed (0, 1, 2)
-    S = make_dataset(SET36, np.random.default_rng(12))
+    S, _ = make_dataset(SET36, np.random.default_rng(12), m=6)
     rng = np.random.default_rng(13)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=r"SubsetFamily\(k=3, universe=6\).*"
@@ -221,7 +216,7 @@ def test_build_refuses_another_family_before_drawing():
 
 def test_build_is_deterministic():
     rng = np.random.default_rng(11)
-    S = make_dataset(SET36, rng)
+    S, _ = make_dataset(SET36, rng, m=6)
     w = rng.normal(size=SET36.feature_dim)
     cfg = ProposalConfig(alpha=0.5, k=2, n_target=4)
     a = build_candidate_sets(SET36, S, w, cfg, np.random.default_rng(33))
@@ -235,7 +230,7 @@ def test_every_candidate_is_valid():
     oracles = {SET36: set(itertools.combinations(range(6), 3)),
                SpanningTreeFamily(4): brute_force_tree_components(4)}
     for family, valid in oracles.items():
-        S = make_dataset(family, rng)
+        S, _ = make_dataset(family, rng, m=6)
         sets = build_candidate_sets(family, S, rng.normal(size=family.feature_dim),
                                     ProposalConfig(alpha=1.0, k=2, n_target=6),
                                     np.random.default_rng(13))
@@ -250,7 +245,7 @@ def test_every_candidate_is_valid():
 
 def test_augment_adds_missing_observed_output():
     rng = np.random.default_rng(14)
-    S = make_dataset(SET36, rng, m=3)
+    S, _ = make_dataset(SET36, rng, m=3)
     sp = space(SET36)
     empty = ()
     keeps = (S.outputs[1],)
@@ -265,7 +260,7 @@ def test_augment_adds_missing_observed_output():
 
 def test_augment_grows_by_at_most_one():
     rng = np.random.default_rng(15)
-    S = make_dataset(SET36, rng, m=20)
+    S, _ = make_dataset(SET36, rng, m=20)
     sets = build_candidate_sets(SET36, S, rng.normal(size=SET36.feature_dim),
                                 ProposalConfig(alpha=1.0, k=2, n_target=5),
                                 np.random.default_rng(16))
@@ -311,7 +306,7 @@ def test_candidate_sets_ignore_other_samples_labels():
     # T_i may depend on y_i (the start of the non-exploring branch) but never
     # on the observed structures of other samples
     rng = np.random.default_rng(19)
-    S = make_dataset(SET36, rng, m=5)
+    S, _ = make_dataset(SET36, rng, m=5)
     outs = space(SET36).outputs
     j = 2
     swapped = list(S.outputs)
@@ -328,7 +323,7 @@ def test_candidate_sets_ignore_other_samples_labels():
 
 def test_quality_frequency_trivial_cases():
     rng = np.random.default_rng(18)
-    S = make_dataset(SET36, rng, m=4)
+    S, _ = make_dataset(SET36, rng, m=4)
     singletons = [(y,) for y in S.outputs]
     # zero weights: no observed structure is a strict maximizer, and all scores
     # tie, so the mean-score condition holds for every set
@@ -339,7 +334,7 @@ def test_quality_frequency_refuses_another_familys_sets():
     # set:2,6 sets on a set:3,6 dataset: the dataset names the family, so
     # the sets are looked up in its space and refused
     rng = np.random.default_rng(18)
-    S = make_dataset(SET36, rng, m=4)
+    S, _ = make_dataset(SET36, rng, m=4)
     other = SubsetFamily(2, 6)
     outs = space(other).outputs
     w = np.zeros(SET36.feature_dim)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from randcrf import (Dataset, DagFamily, FamilyTooLargeError, SpanningTreeFamily,
                      StructuredOutput, SubsetFamily, crf_pmf, feature_map, full_candidate_set,
-                     make_input, space)
+                     space)
 from randcrf import spaces
 from randcrf.spaces import ordered_pair_index, unordered_pair_index
 
@@ -500,14 +500,12 @@ def test_a_lone_gather_adds_in_ascending_feature_order():
 # inputs and structures
 
 
-def test_make_input_validates():
+def test_single_input_functions_check_the_input_length():
     fam = SubsetFamily(2, 4)
-    x = make_input(fam, [0, 1, 1, 0, 1, 0])
-    assert x.dtype == np.uint8 and x.tolist() == [0, 1, 1, 0, 1, 0]
-    with pytest.raises(ValueError):
-        make_input(fam, [0, 1])
-    with pytest.raises(ValueError):
-        make_input(fam, [0, 2, 0, 0, 0, 0])
+    y = space(fam).outputs[0]
+    for fn in (lambda x: feature_map(fam, x, y), lambda x: crf_pmf(fam, x, np.ones(6), (y,), 1.0)):
+        with pytest.raises(ValueError, match=r"^expected 6 bits, got shape \(2,\)$"):
+            fn([0, 1])
 
 
 def test_structured_output_requires_sorted_components():

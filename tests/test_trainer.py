@@ -18,28 +18,13 @@ from randcrf import (CandidateSets, Dataset, DagFamily, Method, ProposalConfig,
                      log_gain, log_gain_gradient, log_likelihood_gradient, randomized_loss,
                      soft_threshold, space, train_crf, train_svm)
 from randcrf import spaces
-from randcrf.gumbel_crf import _segment_pmfs
+from randcrf.gumbel_crf import _segment_pmfs, _segment_softmax
 
-from oracles import (hamming, hinge_terms_reference, log_likelihood, prob_of, random_instance,
-                     score_of)
+from oracles import (hamming, hinge_terms_reference, log_likelihood, make_dataset, prob_of,
+                     random_augmented_sets, score_of)
 
 SET25 = SubsetFamily(2, 5)  # r = 10, d = 10
 SET36 = SubsetFamily(3, 6)
-
-
-def make_dataset(family, rng, m=5):
-    X, ys, _ = random_instance(family, rng, m=m)
-    return Dataset(family, X, ys)
-
-
-def random_augmented_sets(S, rng, max_extra=5):
-    sp = space(S.family)
-    sets = []
-    for y in S.outputs:
-        extras = rng.choice(sp.size, size=int(rng.integers(0, max_extra + 1)), replace=False)
-        idx = sorted({int(e) for e in extras} | {sp.index(y)})
-        sets.append(tuple(sp.outputs[i] for i in idx))
-    return sets
 
 
 def finite_difference(fn, w, h=1e-5):
@@ -57,7 +42,7 @@ def finite_difference(fn, w, h=1e-5):
 
 def test_gradient_zero_for_singleton_supports():
     rng = np.random.default_rng(0)
-    S = make_dataset(SET36, rng)
+    S, _ = make_dataset(SET36, rng, m=5)
     sets = [(y,) for y in S.outputs]
     g = log_gain_gradient(rng.normal(size=SET36.feature_dim), S, sets, 0.7)
     np.testing.assert_allclose(g, 0.0, atol=1e-14)
@@ -66,7 +51,7 @@ def test_gradient_zero_for_singleton_supports():
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     for _ in range(8):
-        S = make_dataset(SET25, rng, m=4)
+        S, _ = make_dataset(SET25, rng, m=4)
         sets = random_augmented_sets(S, rng)
         beta = float(rng.uniform(0.3, 2.0))
         w = rng.normal(size=SET25.feature_dim)
@@ -79,7 +64,7 @@ def test_gradient_matches_finite_differences():
 def test_log_likelihood_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
     for _ in range(6):
-        S = make_dataset(SET25, rng, m=4)
+        S, _ = make_dataset(SET25, rng, m=4)
         sets = random_augmented_sets(S, rng)
         beta = float(rng.uniform(0.3, 2.0))
         w = rng.normal(size=SET25.feature_dim)
@@ -92,7 +77,7 @@ def test_log_likelihood_gradient_matches_finite_differences():
 def test_log_likelihood_lower_bounds_log_gain():
     rng = np.random.default_rng(43)
     for _ in range(10):
-        S = make_dataset(SET36, rng, m=5)
+        S, _ = make_dataset(SET36, rng, m=5)
         sets = random_augmented_sets(S, rng)
         w = rng.normal(size=SET36.feature_dim)
         assert log_likelihood(w, S, sets, 0.7) <= log_gain(w, S, sets, 0.7) + 1e-12
@@ -100,7 +85,7 @@ def test_log_likelihood_lower_bounds_log_gain():
 
 def test_gradient_full_space_path_agrees_with_segment_path():
     rng = np.random.default_rng(2)
-    S = make_dataset(SET36, rng, m=4)
+    S, _ = make_dataset(SET36, rng, m=4)
     w = rng.normal(size=SET36.feature_dim)
     full = [full_candidate_set(SET36)] * S.m
     # the same outputs, not the space's own tuple: the segment route
@@ -129,7 +114,7 @@ def test_gradient_vanishes_as_beta_shrinks_on_separated_instance():
 
 def test_gradient_rejects_empty_candidate_set():
     rng = np.random.default_rng(4)
-    S = make_dataset(SET36, rng, m=2)
+    S, _ = make_dataset(SET36, rng, m=2)
     sets = [(), (S.outputs[1],)]
     with pytest.raises(ValueError):
         log_gain_gradient(np.zeros(SET36.feature_dim), S, sets, 1.0)
@@ -177,7 +162,7 @@ def test_beta_schedule_domain_errors():
 
 def test_hinge_zero_weights_is_mean_max_distortion():
     rng = np.random.default_rng(5)
-    S = make_dataset(SET36, rng, m=4)
+    S, _ = make_dataset(SET36, rng, m=4)
     full = [full_candidate_set(SET36)] * S.m
     got = hinge_loss(np.zeros(SET36.feature_dim), S, full)
     want = np.mean([max(hamming(z, y) for z in space(SET36).outputs) for y in S.outputs])
@@ -186,7 +171,7 @@ def test_hinge_zero_weights_is_mean_max_distortion():
 
 def test_hinge_singleton_candidates_is_zero():
     rng = np.random.default_rng(6)
-    S = make_dataset(SET36, rng, m=3)
+    S, _ = make_dataset(SET36, rng, m=3)
     sets = [(y,) for y in S.outputs]
     assert hinge_loss(rng.normal(size=SET36.feature_dim), S, sets).value == pytest.approx(0.0)
 
@@ -194,7 +179,7 @@ def test_hinge_singleton_candidates_is_zero():
 def test_hinge_matches_brute_force_max():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        S = make_dataset(SET36, rng, m=3)
+        S, _ = make_dataset(SET36, rng, m=3)
         sets = random_augmented_sets(S, rng)
         w = rng.normal(size=SET36.feature_dim)
         got = hinge_loss(w, S, sets)
@@ -213,7 +198,7 @@ def test_hinge_matches_brute_force_max():
 
 def test_huge_l1_penalty_returns_zero_weights():
     rng = np.random.default_rng(8)
-    S = make_dataset(SET36, rng, m=6)
+    S, _ = make_dataset(SET36, rng, m=6)
     for method, train in ((Method.CRF_ALL, train_crf), (Method.CRF_RAND, train_crf),
                           (Method.SVM_ALL, train_svm), (Method.SVM_RAND, train_svm)):
         w, _ = train(S, TrainConfig(method=method, l1_lambda=1e3, iterations=5, beta=1.0,
@@ -245,7 +230,7 @@ def test_svm_objective_trends_down_on_separable_instance():
 
 def test_training_is_deterministic():
     rng = np.random.default_rng(9)
-    S = make_dataset(SET36, rng, m=10)
+    S, _ = make_dataset(SET36, rng, m=10)
     cfg = TrainConfig(method=Method.CRF_RAND, iterations=6, seed=21, beta=0.5, n_target=4)
     w1, t1 = train_crf(S, cfg)
     w2, t2 = train_crf(S, cfg)
@@ -257,7 +242,7 @@ def test_training_is_deterministic():
 
 def test_trace_length_and_final_sets():
     rng = np.random.default_rng(10)
-    S = make_dataset(SET36, rng, m=4)
+    S, _ = make_dataset(SET36, rng, m=4)
     _, trace = train_crf(S, TrainConfig(method=Method.CRF_RAND, iterations=7, beta=1.0,
                                         n_target=3))
     assert len(trace) == 7
@@ -298,7 +283,7 @@ def test_training_steps_along_the_public_gradient(method):
     # beta times log_likelihood_gradient, an SVM method's objective is
     # hinge_loss, each over the sets the method trained on
     rng = np.random.default_rng(12)
-    S = make_dataset(SET36, rng, m=8)
+    S, _ = make_dataset(SET36, rng, m=8)
     beta = 0.7
     cfg = TrainConfig(method=method, l1_lambda=0.0, iterations=1, beta=beta, n_target=3, seed=4)
     train = train_crf if method.is_crf else train_svm
@@ -385,13 +370,17 @@ def test_crf_pmf_over_a_trained_set_gives_the_trainers_probabilities():
     sets = trace.final_candidate_sets
     assert sets.counts.min() >= 8
     p, _ = _segment_pmfs(sets, S.indices, S.bits * (w / beta))
+    s = space(fam).gather_scores(S.bits * (w / beta), sets.samples, sets.indices)
+    _, log_partition = _segment_softmax(s, sets.offsets[:-1], sets.samples)
     for i, (lo, hi) in enumerate(zip(sets.offsets[:-1], sets.offsets[1:])):
-        assert np.array_equal(crf_pmf(fam, S.inputs[i], w, sets[i], beta).probs, p[lo:hi])
+        dist = crf_pmf(fam, S.inputs[i], w, sets[i], beta)
+        assert np.array_equal(dist.probs, p[lo:hi])
+        assert dist.log_partition == log_partition[i]
 
 
 def test_method_entrypoints_are_checked():
     rng = np.random.default_rng(11)
-    S = make_dataset(SET36, rng, m=2)
+    S, _ = make_dataset(SET36, rng, m=2)
     with pytest.raises(ValueError):
         train_crf(S, TrainConfig(method=Method.SVM_ALL))
     with pytest.raises(ValueError):
