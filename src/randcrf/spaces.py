@@ -161,6 +161,51 @@ class SubsetFamily:
         return np.fromiter(itertools.combinations(range(self.universe), self.k),
                            dtype=np.dtype((np.int32, (self.k,))), count=self.num_outputs)
 
+    def _swap_neighbors(self, comps: np.ndarray) -> np.ndarray:
+        """(r x k(universe - k)) positions of every output's single-swap
+        neighbors, each row ascending, given the canonical component array.
+
+        A sorted subset c has lexicographic rank C(u, k) - 1 - sum_i
+        term[i, c_i], term[i, e] = C(u - 1 - e, k - i) (the combinatorial
+        number system).  Swapping the member at position p for the j-th
+        non-member a, which has t = a - j members below it, moves each kept
+        member i by -[i > p] + [i >= t] and lands a at t - [p < t].  So the
+        kept members' sum depends only on (p, t, output) and a's term only on
+        (p, t, j): each neighbor's rank is one ``take`` from each of two small
+        tables.  Outputs stay the innermost axis, so every step runs numpy's
+        inner loops over r."""
+        k, u = self.k, self.universe
+        n, r = u - k, len(comps)
+        # position i holds one of the elements i..i+n; zero elsewhere keeps
+        # every entry of the table (row k included) within int64
+        term = np.zeros((k + 1, u), dtype=np.int64)
+        for i in range(k):
+            term[i, i:i + n + 1] = [math.comb(u - 1 - e, k - i) for e in range(i, i + n + 1)]
+        p, t = np.ogrid[:k, :k + 1]
+        c = comps.T.astype(np.int64)
+        kept = np.zeros((k, k + 1, r), dtype=np.int64)
+        for i in range(k):
+            # member i's position after the swap; the zero row k where i leaves
+            pos = np.where(p == i, k, i - (i > p) + (i >= t))
+            kept += term.ravel().take(pos[..., None] * u + c[i])
+        j = np.arange(n)
+        added = math.comb(u, k) - 1 - term[(t - (p < t))[..., None], t[..., None] + j]
+        # the j-th non-member's t counts the members with at most j
+        # non-members below them: member i has c_i - i
+        y = np.arange(r)
+        t_of = np.bincount(((c - p) * r + y).ravel(), minlength=(n + 1) * r).reshape(n + 1, r)[:n]
+        t_of.cumsum(axis=0, out=t_of)  # (n x r)
+        at_added, at_kept = t_of * n + j[:, None], t_of * r + y
+        # written into a transposed view of the result, not into a (k x n x r)
+        # array and then its transposed copy: a cold set:4,15 build faulted
+        # 317 pages rather than 404 and took 1.8 rather than 2.5 ms
+        rows = np.empty((r, k * n), dtype=np.int64)
+        ranks = rows.T.reshape(k, n, r)
+        for q in range(k):  # swapping out the member at position q
+            np.subtract(added[q].take(at_added), kept[q].take(at_kept), out=ranks[q])
+        rows.sort(axis=1)
+        return rows
+
 
 @dataclass(frozen=True)
 class SpanningTreeFamily:
@@ -427,39 +472,56 @@ class EnumeratedSpace:
         """CSR (indptr, data) of the distance-<=k neighbor lists of every output,
         each list ascending (canonical order).
 
-        Scans all pairs of outputs in blocks of rows: per block, the XOR of
-        the packed masks is popcounted into small unsigned distances, one
-        compare of ``distance - 1`` (which wraps to the type's maximum for
-        the output itself) against k keeps the neighbors, and one flat
-        ``nonzero`` lists them.  Generic balls, built by toggling every
+        Subsets below radius 4 take their lists by arithmetic: two subsets
+        of one size lie an even distance apart, so the ball holds one swap
+        (radius 2 or 3) or nobody (radius 1 or less), and
+        ``SubsetFamily._swap_neighbors`` ranks the swaps.  Every other
+        family and radius scans all pairs of outputs in blocks of rows: per
+        block, the XOR of the packed masks is popcounted into small unsigned
+        distances, one compare of ``distance - 1`` (which wraps to the
+        type's maximum for the output itself) against k keeps the
+        neighbors, and one flat ``nonzero`` lists them.
+
+        Cold radius-2 tables of subsets (median of 7 fresh processes on a
+        2-core x86 VM), scanned against ranked: set:4,15 5.0 against
+        1.7 ms, set:4,20 34 against 8.1 ms, set:4,25 201 against 23 ms,
+        set:4,30 989 against 68 ms.  Generic balls, built by toggling every
         one or two components and looking the results up by
-        ``searchsorted`` in the sorted masks, were slower at k = 2
-        (in-process, median of 15 on a 2-core x86 VM, generated against
-        scanned): set:4,15 9.4 against 4.0 ms, dag:5,1 14.1 against
-        3.9 ms, set:4,20 65 against 31 ms, tree:6 250 against 73 ms,
-        dag:5,2 278 against 242 ms."""
+        ``searchsorted`` in the sorted masks, were slower than the scan at
+        k = 2 (in-process, median of 15, generated against scanned):
+        dag:5,1 14.1 against 3.9 ms, tree:6 250 against 73 ms, dag:5,2 278
+        against 242 ms."""
         cached = self._neighbor_csr.get(k)
         if cached is None:
-            r, words = self.masks.shape
-            dist_type = np.uint8 if words == 1 else np.uint16
-            limit = min(max(k, 0), int(np.iinfo(dist_type).max))
-            counts = np.empty(r, dtype=np.int64)
-            pieces = []
-            chunk = max(1, _NEIGHBOR_BLOCK_PAIRS // r)
-            for lo in range(0, r, chunk):
-                hi = min(r, lo + chunk)
-                dist = np.bitwise_count(self.masks[lo:hi, None, :] ^ self.masks[None, :, :])
-                dist = dist.reshape(hi - lo, r) if words == 1 else dist.sum(axis=2, dtype=dist_type)
-                dist -= 1  # wraps to the maximum for the output itself
-                flat = np.flatnonzero(dist < limit)
-                row = flat // r
-                counts[lo:hi] = np.bincount(row, minlength=hi - lo)
-                pieces.append(flat - row * r)
-            indptr = np.zeros(r + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            cached = (indptr, np.concatenate(pieces))
+            if isinstance(self.family, SubsetFamily) and k < 4:
+                rows = (self.family._swap_neighbors(self.components) if k >= 2
+                        else np.empty((self.size, 0), dtype=np.int64))
+                cached = (np.arange(self.size + 1, dtype=np.int64) * rows.shape[1], rows.ravel())
+            else:
+                cached = self._scan_neighbors(k)
             self._neighbor_csr[k] = cached
         return cached
+
+    def _scan_neighbors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``neighbor_csr(k)`` by the blocked all-pairs scan."""
+        r, words = self.masks.shape
+        dist_type = np.uint8 if words == 1 else np.uint16
+        limit = min(max(k, 0), int(np.iinfo(dist_type).max))
+        counts = np.empty(r, dtype=np.int64)
+        pieces = []
+        chunk = max(1, _NEIGHBOR_BLOCK_PAIRS // r)
+        for lo in range(0, r, chunk):
+            hi = min(r, lo + chunk)
+            dist = np.bitwise_count(self.masks[lo:hi, None, :] ^ self.masks[None, :, :])
+            dist = dist.reshape(hi - lo, r) if words == 1 else dist.sum(axis=2, dtype=dist_type)
+            dist -= 1  # wraps to the maximum for the output itself
+            flat = np.flatnonzero(dist < limit)
+            row = flat // r
+            counts[lo:hi] = np.bincount(row, minlength=hi - lo)
+            pieces.append(flat - row * r)
+        indptr = np.zeros(r + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return indptr, np.concatenate(pieces)
 
     def index(self, y: StructuredOutput) -> int:
         """Position of ``y`` in canonical order; see ``indices``."""

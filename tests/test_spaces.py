@@ -322,6 +322,8 @@ TABLE_FAMILIES = [
     SubsetFamily(2, 5), SubsetFamily(3, 6), SET_4_15,
     SubsetFamily(2, 70),  # 70 components: two mask words
     SubsetFamily(2, 64), SubsetFamily(2, 65),  # each side of the one-word limit
+    SubsetFamily(1, 5), SubsetFamily(11, 12),  # one member, one non-member
+    SubsetFamily(3, 3),  # a single output
     SpanningTreeFamily(4), SpanningTreeFamily(5), TREE6,
     DagFamily(3, 2), DagFamily(4, 1), DagFamily(5, 1),  # hold the empty DAG
 ]
@@ -367,7 +369,9 @@ def test_tables_match_per_output_constructions(family, fresh_space, monkeypatch)
     if sp.size <= 2000:  # the saturating radius lists every other output
         radii = sorted({*radii, family.hamming_normalizer})
     tables = [sp.neighbor_csr(k) for k in radii]
-    # again in blocks of a quarter of the rows, so that every family scans in several
+    # again in blocks of a quarter of the rows, so that every scan runs in
+    # several: trees and DAGs at every radius, subsets at radius 4 and at the
+    # saturating radius (below 4 they rank their swaps)
     monkeypatch.setattr(sp, "_neighbor_csr", {})
     monkeypatch.setattr(spaces, "_NEIGHBOR_BLOCK_PAIRS", sp.size * max(1, sp.size // 4))
     tables += [sp.neighbor_csr(k) for k in radii]
@@ -375,6 +379,22 @@ def test_tables_match_per_output_constructions(family, fresh_space, monkeypatch)
     for (indptr, data), (want_indptr, want_data) in zip(tables, want * 2):
         assert indptr.dtype == data.dtype == np.int64
         assert np.array_equal(indptr, want_indptr) and np.array_equal(data, want_data)
+
+
+def test_swap_table_past_the_protocol_scale(fresh_space):
+    # set:4,25 (r = 12,650), where the scan took 0.2-0.3 s: every
+    # row lists 84 distinct outputs, each one swap away, so the row is the
+    # whole ball; twenty rows also match the single-row lookup
+    fam = SubsetFamily(4, 25)
+    sp = fresh_space(fam)
+    indptr, data = sp.neighbor_csr(2)
+    assert sp.size == 12_650 and indptr.dtype == data.dtype == np.int64
+    assert np.array_equal(indptr, np.arange(sp.size + 1) * 84)
+    rows = data.reshape(sp.size, 84)
+    assert (np.diff(rows, axis=1) > 0).all()
+    assert (sp.pair_distances(np.arange(sp.size).repeat(84), data) == 2 / 8).all()
+    for idx in np.random.default_rng(0).integers(0, sp.size, size=20).tolist():
+        np.testing.assert_array_equal(rows[idx], neighbor_indices(sp, idx, 2))
 
 
 # Larger spaces skip what takes seconds there: the all-pairs neighbor scans,
@@ -427,6 +447,10 @@ def test_a_component_past_int64_is_refused_as_invalid():
 
 
 def test_neighbor_csr_edge_radii():
+    for fam in (SubsetFamily(2, 5), DagFamily(3, 2)):  # a negative radius holds nobody
+        indptr, data = space(fam).neighbor_csr(-1)
+        assert indptr.dtype == data.dtype == np.int64
+        assert not data.size and np.array_equal(indptr, np.zeros(space(fam).size + 1))
     fam = SubsetFamily(2, 5)
     sp = space(fam)
     indptr, data = sp.neighbor_csr(1)  # swaps move distance 2: nobody is that close
